@@ -39,6 +39,7 @@ from repro.datagen import generate_phone_state, generate_zip_city_state  # noqa:
 from repro.detection import DetectionStrategy, ErrorDetector, IncrementalDetector  # noqa: E402
 from repro.discovery import DiscoveryConfig, PfdDiscoverer  # noqa: E402
 from repro.engine import DataSource, build_executor, plan_detection  # noqa: E402
+from repro.kernels import forced_kernel_mode  # noqa: E402
 from repro.patterns import parse_pattern  # noqa: E402
 from repro.perf.timers import StageTimers  # noqa: E402
 from repro.pfd import PFD  # noqa: E402
@@ -155,22 +156,23 @@ def _bench_sharded_discovery(n_rows: int = 64000, shard_rows: int = 8000):
     same-tree scalar reference.
 
     A paired bench: the recorded baseline runs the identical sharded
-    pipeline with ``use_kernels="off"`` over the same sharded table, so
-    the persisted speedup isolates the columnar kernel layer (the two
-    paths produce identical rule sets — the differential suite proves
-    it).  Both sides run warm; their merged artifacts use disjoint cache
+    pipeline pinned to the scalar path (``forced_kernel_mode("off")``)
+    over the same sharded table, so the persisted speedup isolates the
+    columnar kernel layer (the two paths produce identical rule sets —
+    the differential suite proves it).  Both sides run warm; their merged artifacts use disjoint cache
     keys, so neither primes the other.
     """
     table = generate_zip_city_state(n_rows=n_rows, seed=23).table
     sharded = ShardedTable.from_table(table, shard_rows)
-    kernel = ShardedDiscoverer(DiscoveryConfig(use_kernels="on"))
-    scalar = ShardedDiscoverer(DiscoveryConfig(use_kernels="off"))
+    kernel = ShardedDiscoverer(DiscoveryConfig())
+    scalar = ShardedDiscoverer(DiscoveryConfig())
 
     def run() -> object:
         return kernel.discover(sharded)
 
     def baseline_run() -> object:
-        return scalar.discover(sharded)
+        with forced_kernel_mode("off"):
+            return scalar.discover(sharded)
 
     run.stage_timers = kernel.discoverer.timers
     return run, 2, baseline_run

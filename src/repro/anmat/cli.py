@@ -24,12 +24,13 @@ from repro.dataset.csvio import read_csv, read_csv_sharded
 from repro.datagen.registry import build_dataset, dataset_names
 from repro.discovery.config import DiscoveryConfig
 from repro.engine import DEFAULT_SHARD_ROWS, REQUESTABLE_EXECUTORS
+from repro.errors import DiscoveryError
 from repro.sharding import STORE_KINDS, ShardedTable, make_shard_store
 from repro.metrics.evaluation import evaluate_report
 
 #: ``detect`` exit codes, distinct so shell pipelines can gate on clean
-#: data (argparse itself exits 2 on usage errors, and unexpected errors
-#: surface as tracebacks with status 1).
+#: data (argparse itself exits 2 on usage errors, invalid option values
+#: included, and unexpected errors surface as tracebacks with status 1).
 EXIT_CLEAN = 0
 EXIT_VIOLATIONS_FOUND = 3
 
@@ -85,21 +86,23 @@ def _load_table(args: argparse.Namespace):
     return dataset.table, dataset.error_cells, dataset.name
 
 
-def _make_session(table, label: str, args: argparse.Namespace) -> AnmatSession:
-    config = DiscoveryConfig(
+def _config_from_args(args: argparse.Namespace) -> DiscoveryConfig:
+    """The session config the parsed options describe (raises
+    :class:`DiscoveryError` on an invalid value)."""
+    return DiscoveryConfig(
         min_coverage=args.min_coverage,
         allowed_violation_ratio=args.allowed_violations,
-        shard_rows=getattr(args, "shard_rows", 0),
-        n_workers=getattr(args, "n_workers", 0),
-        use_kernels=getattr(args, "use_kernels", "auto"),
-        store=getattr(args, "store", "memory"),
-        spill_dir=getattr(args, "spill_dir", None),
-        object_url=getattr(args, "object_url", None),
-        pool=getattr(args, "pool", "persistent"),
-        prefetch_depth=getattr(args, "prefetch_depth", 2),
-        rule_maintenance=getattr(args, "rule_maintenance", "auto"),
+        shard_rows=args.shard_rows,
+        store=args.store,
+        spill_dir=args.spill_dir,
+        object_url=args.object_url,
+        prefetch_depth=args.prefetch_depth,
+        rule_maintenance=args.rule_maintenance,
     )
-    session = AnmatSession(dataset_name=label, config=config)
+
+
+def _make_session(table, label: str, args: argparse.Namespace) -> AnmatSession:
+    session = AnmatSession(dataset_name=label, config=args.config)
     session.load_table(table)
     return session
 
@@ -150,18 +153,6 @@ def _add_common_arguments(parser: argparse.ArgumentParser) -> None:
         ),
     )
     parser.add_argument(
-        "--n-workers",
-        type=_positive_int,
-        default=0,
-        metavar="N",
-        help=(
-            "fan embarrassingly parallel stages out over N worker "
-            "processes (candidate mining, per-rule detection, per-shard "
-            "extraction); results are identical to a serial run "
-            "(0 = serial, the default)"
-        ),
-    )
-    parser.add_argument(
         "--store",
         default="memory",
         choices=list(STORE_KINDS),
@@ -198,29 +189,6 @@ def _add_common_arguments(parser: argparse.ArgumentParser) -> None:
         ),
     )
     parser.add_argument(
-        "--use-kernels",
-        default="auto",
-        choices=("auto", "on", "off"),
-        help=(
-            "vectorized columnar kernels for the discovery/detection hot "
-            "paths: 'auto' uses them exactly when numpy is importable, "
-            "'on' requests them (degrading to the scalar path without "
-            "numpy), 'off' forces the scalar path; results are identical "
-            "either way"
-        ),
-    )
-    parser.add_argument(
-        "--pool",
-        default="persistent",
-        choices=("persistent", "per-call"),
-        help=(
-            "worker-pool lifecycle for --n-workers fan-out: 'persistent' "
-            "keeps one process pool warm across the session's runs (with "
-            "a shard-version-keyed result cache), 'per-call' builds and "
-            "tears down a fresh pool inside each run"
-        ),
-    )
-    parser.add_argument(
         "--prefetch-depth",
         type=int,
         default=2,
@@ -254,21 +222,20 @@ def _add_execution_arguments(parser: argparse.ArgumentParser) -> None:
         default="auto",
         choices=list(REQUESTABLE_EXECUTORS),
         help=(
-            "execution backend: 'auto' routes on --shard-rows/--n-workers "
-            "and the upload kind; 'serial', 'parallel' and 'sharded' force "
-            "a backend (results are identical across backends)"
+            "execution backend: 'auto' routes on --shard-rows and the "
+            "upload kind; 'serial' and 'sharded' force a backend (results "
+            "are identical across backends)"
         ),
     )
     parser.add_argument(
         "--explain-plan",
         action="store_true",
-        help="print the chosen execution plan (backend, shard count, workers) before running",
+        help="print the chosen execution plan (backend, shard count, kernels) before running",
     )
 
 
 def _positive_int(text: str) -> int:
-    """argparse type for ``--shard-rows``/``--n-workers``: a non-negative
-    integer."""
+    """argparse type for ``--shard-rows``: a non-negative integer."""
     value = int(text)
     if value < 0:
         raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
@@ -379,6 +346,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if hasattr(args, "min_coverage"):
+        # validate every option value before a handler loads anything
+        try:
+            args.config = _config_from_args(args)
+        except DiscoveryError as exc:
+            parser.error(str(exc))
     return args.handler(args)
 
 

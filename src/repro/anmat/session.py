@@ -17,8 +17,8 @@ re-scanning the whole table — the session moves to ``EDITING`` and a
 Discovery and detection are executed through the pluggable execution
 engine (:mod:`repro.engine`): the session builds an
 :class:`~repro.engine.plan.ExecutionPlan` from its config and upload
-kind and hands it to the matching backend — serial, process-parallel,
-or sharded — so the session itself carries no routing branches.
+kind and hands it to the matching in-process backend — serial or
+sharded — so the session itself carries no routing branches.
 """
 
 from __future__ import annotations
@@ -51,7 +51,6 @@ from repro.engine import (
     plan_detection,
     plan_discovery,
 )
-from repro.engine.worker_pool import WorkerPool
 from repro.errors import ProjectError
 from repro.pfd.pfd import PFD
 from repro.sharding.sharded_table import ShardedTable
@@ -108,10 +107,6 @@ class AnmatSession:
     #: the dataset as the engine sees it: eager monolithic table, or a
     #: never-materialized shard-store source
     _source: Optional[DataSource] = field(default=None, repr=False)
-    #: the session's persistent worker pool (``config.pool ==
-    #: "persistent"``): lazily created by the first plan that fans out,
-    #: reused across discovery/detection/recheck, closed with the session
-    _worker_pool: Optional[WorkerPool] = field(default=None, repr=False)
 
     # -- step 1: load ------------------------------------------------------------
 
@@ -134,10 +129,6 @@ class AnmatSession:
         """
         if self._source is not None:
             self._source.close()
-        if self._worker_pool is not None:
-            # a new dataset restarts shard indexes and versions from
-            # scratch; stale warm-cache entries must not hit for it
-            self._worker_pool.clear_warm_cache()
         if isinstance(table, ShardedTable):
             self._source = DataSource.from_sharded(table)
         else:
@@ -249,8 +240,7 @@ class AnmatSession:
 
         The run is resolved by the execution engine's planner —
         ``config.shard_rows`` or a sharded upload route it through the
-        sharded backend, ``config.n_workers`` through the process
-        fan-out, and ``executor`` forces a specific backend — and
+        sharded backend, and ``executor`` forces a specific backend — and
         executed by the matching backend; results are identical across
         backends.
         """
@@ -258,7 +248,7 @@ class AnmatSession:
         if self.profile is None:
             self.run_profiling()
         self.discovery = build_executor(plan).run_discovery(
-            plan, self._source, relation=self.dataset_name, pool=self._pool_for(plan)
+            plan, self._source, relation=self.dataset_name
         )
         self.last_plan = plan
         self._seed_maintainer(plan, self.discovery)
@@ -342,10 +332,7 @@ class AnmatSession:
                 warnings.warn(reason, PlanWarning, stacklevel=2)
         if result is None:
             result = build_executor(plan).run_discovery(
-                plan,
-                self._source,
-                relation=self.dataset_name,
-                pool=self._pool_for(plan),
+                plan, self._source, relation=self.dataset_name
             )
             self._seed_maintainer(plan, result)
         self.discovery = result
@@ -456,11 +443,11 @@ class AnmatSession:
         """Run the confirmed PFDs over the data (the Figure 5 view).
 
         The engine's planner resolves the run: a sharded dataset with
-        the default ``auto`` strategy goes shard-parallel (canonically
-        equal violations); an explicitly requested strategy always runs
-        the monolithic engine it names (the planner records why and
-        warns).  The edit loop maintains violations monolithically
-        either way.
+        the default ``auto`` strategy runs on the sharded engine
+        (canonically equal violations); an explicitly requested strategy
+        always runs the monolithic engine it names (the planner records
+        why and warns).  The edit loop maintains violations
+        monolithically either way.
         """
         self._require_table()
         rules = list(pfds) if pfds is not None else self.confirmed_pfds()
@@ -469,9 +456,7 @@ class AnmatSession:
                 "no confirmed PFDs to run; call run_discovery() and confirm() first"
             )
         plan = self.plan_detection(strategy=strategy, executor=executor)
-        self.violations = build_executor(plan).run_detection(
-            plan, self._source, rules, pool=self._pool_for(plan)
-        )
+        self.violations = build_executor(plan).run_detection(plan, self._source, rules)
         self.last_plan = plan
         self._detection_rules = rules
         # the edit loop's incremental detector understands the monolithic
@@ -533,9 +518,6 @@ class AnmatSession:
         Idempotent, and also invoked when the session is used as a
         context manager.
         """
-        if self._worker_pool is not None:
-            self._worker_pool.close()
-            self._worker_pool = None
         if self._source is not None:
             self._source.close()
             self._source = None
@@ -571,24 +553,6 @@ class AnmatSession:
             raise ProjectError(
                 f"session {self.dataset_name!r} has no table; call load_table() first"
             )
-
-    def _pool_for(self, plan: ExecutionPlan) -> Optional[WorkerPool]:
-        """The persistent worker pool serving this plan, or ``None`` for
-        serial plans and ``pool="per-call"`` (the executors then build
-        ephemeral pools themselves).  Created lazily on the first
-        fanning-out plan, reused until :meth:`close`; a changed
-        ``n_workers`` rebuilds it at the new width."""
-        if plan.n_workers <= 1 or plan.pool != "persistent":
-            return None
-        if (
-            self._worker_pool is not None
-            and self._worker_pool.n_workers != plan.n_workers
-        ):
-            self._worker_pool.close()
-            self._worker_pool = None
-        if self._worker_pool is None:
-            self._worker_pool = WorkerPool(plan.n_workers)
-        return self._worker_pool
 
     def _save_results(self) -> None:
         if self.project is None or self.violations is None:

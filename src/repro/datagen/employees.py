@@ -34,6 +34,12 @@ GRADES: Dict[str, str] = {
     "9": "Director",
 }
 
+#: Serial numbers (third field of the employee id): three digits.
+SERIAL_RANGE: Tuple[int, int] = (100, 1000)
+
+#: How many distinct employee ids exist.
+ID_CAPACITY = len(DEPARTMENTS) * len(GRADES) * (SERIAL_RANGE[1] - SERIAL_RANGE[0])
+
 
 def generate_employee_ids(
     n_rows: int = 1500,
@@ -41,7 +47,16 @@ def generate_employee_ids(
     department_error_rate: float = 0.02,
     grade_error_rate: float = 0.01,
 ) -> GeneratedDataset:
-    """Generate the employee-ID table with wrong departments/grades injected."""
+    """Generate the employee-ID table with wrong departments/grades injected.
+
+    Ids are distinct, so ``n_rows`` may not exceed :data:`ID_CAPACITY`.
+    """
+    if n_rows > ID_CAPACITY:
+        raise ValueError(
+            f"n_rows={n_rows} exceeds the {ID_CAPACITY} distinct employee ids "
+            f"({len(DEPARTMENTS)} departments x {len(GRADES)} grades x "
+            f"{SERIAL_RANGE[1] - SERIAL_RANGE[0]} serials)"
+        )
     rng = random.Random(seed)
     department_codes = sorted(DEPARTMENTS)
     grade_digits = sorted(GRADES)
@@ -50,7 +65,7 @@ def generate_employee_ids(
     while len(rows) < n_rows:
         code = rng.choice(department_codes)
         grade = rng.choice(grade_digits)
-        serial = rng.randrange(100, 1000)
+        serial = rng.randrange(*SERIAL_RANGE)
         employee_id = f"{code}-{grade}-{serial}"
         if employee_id in seen:
             continue

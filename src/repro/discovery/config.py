@@ -49,28 +49,11 @@ class DiscoveryConfig:
         distinct *and* unstructured are skipped.
     max_candidate_columns:
         Safety valve for very wide tables.
-    n_workers:
-        Opt-in parallelism, interpreted by the execution engine's
-        planner (:mod:`repro.engine`).  ``0`` or ``1`` run serially;
-        ``>1`` routes runs to the parallel backend (or fans out the
-        sharded backend's per-shard extraction), which spreads the
-        embarrassingly parallel stages over ``concurrent.futures``
-        workers — candidate mining, per-rule detection, per-shard
-        statistic extraction.  Results are byte-identical to the serial
-        path.
     shard_rows:
         Opt-in sharded execution, interpreted by the engine's planner.
         ``0`` runs monolithically; ``>0`` routes discovery and detection
         to the sharded backend over shards of this many rows (identical
         rule sets, canonically equal violations).
-    use_kernels:
-        Whether the vectorized columnar kernels
-        (:mod:`repro.kernels`) run the discovery/detection hot paths.
-        ``"auto"`` (the default) uses them exactly when numpy is
-        importable; ``"on"`` requests them (degrading to the scalar path
-        when numpy is absent — results are identical either way);
-        ``"off"`` forces the scalar path.  The execution plan records
-        the resolved choice.
     store:
         Which :class:`~repro.sharding.store.ShardStore` backend sharded
         uploads stream into: ``"memory"`` (live tables), ``"spill"``
@@ -91,17 +74,6 @@ class DiscoveryConfig:
         retry-protected transfers).  The execution plan records which
         client kind serves the run.  Ignored unless ``store`` is
         ``"object"``.
-    pool:
-        Worker-pool lifecycle for the fan-out stages.  ``"persistent"``
-        (the default) keeps one process-backed
-        :class:`~repro.engine.worker_pool.WorkerPool` alive per session
-        — lazily started, reused across discovery/detection/recheck,
-        closed with the session — including a warm result cache keyed by
-        shard version so repeated runs over unchanged shards skip the
-        process round-trip.  ``"per-call"`` restores the old behavior of
-        building and tearing down an ephemeral pool inside every run.
-        Only meaningful when ``n_workers > 1``; recorded on the
-        execution plan.
     prefetch_depth:
         How many shard objects ahead the ``object`` store's reader
         fetches on a background thread pool, overlapping GET + checksum
@@ -135,19 +107,14 @@ class DiscoveryConfig:
     max_lhs_distinct_ratio: float = 0.98
     max_candidate_columns: int = 24
     max_constrained_token_position: int = 3
-    n_workers: int = 0
     shard_rows: int = 0
-    use_kernels: str = "auto"
     store: str = "memory"
     spill_dir: Optional[str] = None
     object_url: Optional[str] = None
-    pool: str = "persistent"
     prefetch_depth: int = 2
     rule_maintenance: str = "auto"
 
     def __post_init__(self) -> None:
-        if self.n_workers < 0:
-            raise DiscoveryError(f"n_workers must be >= 0, got {self.n_workers}")
         if self.shard_rows < 0:
             raise DiscoveryError(f"shard_rows must be >= 0, got {self.shard_rows}")
         if not 0.0 <= self.min_coverage <= 1.0:
@@ -165,10 +132,6 @@ class DiscoveryConfig:
             raise DiscoveryError(f"ngram_size must be >= 1, got {self.ngram_size}")
         if self.max_tableau_rows < 1:
             raise DiscoveryError(f"max_tableau_rows must be >= 1, got {self.max_tableau_rows}")
-        if self.use_kernels not in ("auto", "on", "off"):
-            raise DiscoveryError(
-                f"use_kernels must be 'auto', 'on' or 'off', got {self.use_kernels!r}"
-            )
         if self.store not in ("memory", "spill", "object"):
             raise DiscoveryError(
                 f"store must be 'memory', 'spill' or 'object', got {self.store!r}"
@@ -178,10 +141,6 @@ class DiscoveryConfig:
         ):
             raise DiscoveryError(
                 f"object_url must be an http(s):// URL, got {self.object_url!r}"
-            )
-        if self.pool not in ("persistent", "per-call"):
-            raise DiscoveryError(
-                f"pool must be 'persistent' or 'per-call', got {self.pool!r}"
             )
         if self.prefetch_depth < 0:
             raise DiscoveryError(

@@ -404,7 +404,7 @@ class RuleMaintainer:
         """Re-mine one dirty candidate through the existing loop bodies
         (kernel path when enabled, with the batch paths' scalar
         fallback)."""
-        if kernels_enabled(self.config.use_kernels):
+        if kernels_enabled():
             return self._remine_kernel(view, candidate)
         tokenization = None
         if self.config.discover_constant:

@@ -1,13 +1,11 @@
 """Execution planning: *what* to run is decided once, in one place.
 
-Before this layer existed the repository had three hand-wired ways to
-run the same PFD workload — the monolithic engines, the ``n_workers``
-process fan-out, and the sharded path — with the routing decisions
-duplicated as ad-hoc branches in the session and the CLI.  The planner
-replaces all of them: every discovery/detection run first builds an
+The same PFD workload can run on the monolithic engines or on the
+sharded path, both in-process.  Rather than branching on that in the
+session and the CLI, every discovery/detection run first builds an
 :class:`ExecutionPlan` from the observable inputs (table size, requested
-executor, ``shard_rows``, ``n_workers``, detection strategy, whether the
-upload arrived sharded), and the matching
+executor, ``shard_rows``, detection strategy, whether the upload arrived
+sharded), and the matching
 :class:`~repro.engine.executors.Executor` backend then runs the plan.
 
 The plan records every routing decision it takes as a human-readable
@@ -28,17 +26,16 @@ from typing import List, Optional
 from repro.detection.detector import DetectionStrategy
 from repro.discovery.config import DiscoveryConfig
 from repro.errors import DetectionError
-from repro.kernels.runtime import HAVE_NUMPY, kernels_enabled
+from repro.kernels.runtime import kernels_enabled
 
 
 class ExecutionBackend:
     """String constants naming the executor backends."""
 
     SERIAL = "serial"
-    PARALLEL = "parallel"
     SHARDED = "sharded"
 
-    ALL = (SERIAL, PARALLEL, SHARDED)
+    ALL = (SERIAL, SHARDED)
 
 
 #: what callers may request: a concrete backend, or ``auto`` routing
@@ -47,10 +44,6 @@ REQUESTABLE_EXECUTORS = ("auto", *ExecutionBackend.ALL)
 #: shard size used when the sharded backend is requested explicitly but
 #: nothing (config, upload) suggests one
 DEFAULT_SHARD_ROWS = 4096
-
-#: workers used when the parallel backend is requested explicitly but
-#: ``config.n_workers`` does not ask for any
-DEFAULT_PARALLEL_WORKERS = 2
 
 
 class PlanWarning(UserWarning):
@@ -72,15 +65,13 @@ class ExecutionPlan:
     #: detection strategy handed to the monolithic engine (``"auto"``
     #: for discovery plans and for the sharded backend)
     strategy: str = DetectionStrategy.AUTO
-    #: effective fan-out workers (``<= 1`` means fully serial stages)
-    n_workers: int = 0
     #: effective shard size (``0`` for the monolithic backends)
     shard_rows: int = 0
     #: estimated shard count (``0`` for the monolithic backends)
     n_shards: int = 0
     n_rows: int = 0
-    #: resolved kernel choice: ``"on"`` when the vectorized columnar
-    #: kernels run the hot paths, ``"off"`` for the scalar paths
+    #: whether the vectorized columnar kernels run the hot paths
+    #: (``"on"`` exactly when numpy imports) or the scalar paths (``"off"``)
     use_kernels: str = "off"
     #: resolved materialization mode: ``"never"`` when a sharded upload
     #: runs end to end on its shard store, ``"eager"`` when a monolithic
@@ -93,10 +84,6 @@ class ExecutionPlan:
     #: filesystem client, ``"http"`` for the remote client at
     #: ``config.object_url``, ``"none"`` for the other stores
     object_client: str = "none"
-    #: worker-pool lifecycle for the fan-out stages: ``"persistent"``
-    #: reuses the session's :class:`~repro.engine.worker_pool.WorkerPool`
-    #: across runs, ``"per-call"`` builds an ephemeral pool per run
-    pool: str = "persistent"
     #: how many shard objects ahead the ``object`` store's reader
     #: fetches on background threads (``0`` = sequential reads; only
     #: meaningful when ``store`` is ``"object"``)
@@ -124,14 +111,13 @@ class ExecutionPlan:
             if self.rule_maintenance != "none"
             else ""
         )
-        pool = f" pool={self.pool}" if self.n_workers > 1 else ""
         prefetch = (
             f" prefetch_depth={self.prefetch_depth}" if self.prefetch_depth > 0 else ""
         )
         lines = [
             f"execution plan ({self.kind}): backend={self.backend} "
-            f"{shape} workers={self.n_workers} rows={self.n_rows} "
-            f"kernels={self.use_kernels}{pool}{prefetch}{maintenance}"
+            f"{shape} rows={self.n_rows} "
+            f"kernels={self.use_kernels}{prefetch}{maintenance}"
         ]
         lines.extend(f"  - {decision}" for decision in self.decisions)
         return "\n".join(lines)
@@ -159,10 +145,10 @@ def plan_run(
         Size of the logical table.
     config:
         The session's :class:`DiscoveryConfig` (supplies ``shard_rows``
-        and ``n_workers``).
+        and the store settings).
     strategy:
         Detection only — the requested monolithic strategy; anything
-        other than ``auto`` pins the run to a monolithic backend.
+        other than ``auto`` pins the run to the serial backend.
     executor:
         ``auto`` routes on the inputs; a backend name forces it.
     sharded_upload:
@@ -201,13 +187,6 @@ def plan_run(
                 "serial executor requested explicitly: the sharded "
                 "upload/shard_rows request is stitched and run monolithically"
             )
-    elif executor == ExecutionBackend.PARALLEL:
-        backend = ExecutionBackend.PARALLEL
-        if wants_sharded:
-            decisions.append(
-                "parallel executor requested explicitly: running the "
-                "monolithic engine with process fan-out instead of shards"
-            )
     elif executor == ExecutionBackend.SHARDED:
         backend = ExecutionBackend.SHARDED
     elif wants_sharded:
@@ -217,61 +196,20 @@ def plan_run(
             if sharded_upload and config.shard_rows <= 0
             else f"config.shard_rows={config.shard_rows} requests sharded execution"
         )
-    elif config.n_workers > 1:
-        backend = ExecutionBackend.PARALLEL
-        decisions.append(
-            f"config.n_workers={config.n_workers} requests process fan-out"
-        )
     else:
         backend = ExecutionBackend.SERIAL
 
-    # -- an explicit strategy pins detection to a monolithic engine ----------
+    # -- an explicit strategy pins detection to the monolithic engine ---------
     if (
         kind == "detection"
         and strategy != DetectionStrategy.AUTO
         and backend == ExecutionBackend.SHARDED
     ):
-        backend = (
-            ExecutionBackend.PARALLEL
-            if config.n_workers > 1
-            else ExecutionBackend.SERIAL
-        )
+        backend = ExecutionBackend.SERIAL
         reason = (
             f"explicitly requested strategy {strategy!r} runs the monolithic "
-            f"{backend} backend; shard parallelism is skipped (the sharded "
+            f"{backend} backend; sharded execution is skipped (the sharded "
             "backend has its own distinct-value strategy)"
-        )
-        decisions.append(reason)
-        warnings.warn(reason, PlanWarning, stacklevel=2)
-
-    # -- effective workers ---------------------------------------------------
-    n_workers = config.n_workers
-    if executor == ExecutionBackend.PARALLEL and n_workers <= 1:
-        n_workers = DEFAULT_PARALLEL_WORKERS
-        decisions.append(
-            "parallel executor requested without config.n_workers; "
-            f"defaulting to {n_workers} workers"
-        )
-    if backend == ExecutionBackend.SERIAL and n_workers > 1:
-        # only reachable via an explicit serial request — say so rather
-        # than letting describe() print workers that will never run
-        decisions.append(
-            f"serial backend runs fully in-process; "
-            f"config.n_workers={n_workers} is ignored"
-        )
-        n_workers = 0
-
-    # -- kernel resolution ---------------------------------------------------
-    use_kernels = "on" if kernels_enabled(config.use_kernels) else "off"
-    if config.use_kernels == "auto":
-        decisions.append(
-            f"use_kernels=auto resolves to {use_kernels} "
-            f"(numpy {'available' if HAVE_NUMPY else 'unavailable'})"
-        )
-    elif config.use_kernels == "on" and not HAVE_NUMPY:
-        reason = (
-            "use_kernels='on' requested but numpy is unavailable; "
-            "running the equivalent scalar path"
         )
         decisions.append(reason)
         warnings.warn(reason, PlanWarning, stacklevel=2)
@@ -328,19 +266,9 @@ def plan_run(
             else "shard objects stay on the local filesystem client"
         )
 
-    # -- pipelined execution -------------------------------------------------
-    # Pool lifecycle only matters when a fan-out will actually run;
-    # prefetch only matters when shard bytes leave the process (the
-    # object store), so both decisions are recorded exactly then.
-    pool = config.pool
-    if n_workers > 1:
-        decisions.append(
-            "worker pool is persistent: processes stay warm across "
-            "discovery/detection/recheck and close with the session"
-            if pool == "persistent"
-            else "worker pool is per-call: a fresh process pool is built "
-            "and torn down inside each run"
-        )
+    # -- prefetching -----------------------------------------------------------
+    # Prefetch only matters when shard bytes leave the process (the object
+    # store), so the decision is recorded exactly then.
     prefetch_depth = 0
     if config.store == "object" and backend == ExecutionBackend.SHARDED:
         prefetch_depth = config.prefetch_depth
@@ -394,15 +322,13 @@ def plan_run(
         backend=backend,
         config=config,
         strategy=strategy if kind == "detection" else DetectionStrategy.AUTO,
-        n_workers=n_workers,
         shard_rows=shard_rows,
         n_shards=n_shards,
         n_rows=n_rows,
-        use_kernels=use_kernels,
+        use_kernels="on" if kernels_enabled() else "off",
         materialization=materialization,
         store=config.store,
         object_client=object_client,
-        pool=pool,
         prefetch_depth=prefetch_depth,
         requested_executor=executor,
         rule_maintenance=rule_maintenance,

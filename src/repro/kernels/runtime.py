@@ -1,27 +1,21 @@
-"""Kernel availability and mode resolution.
+"""Kernel availability.
 
 numpy is an *optional* accelerator: the import is attempted exactly once
 here, and everything else in the package asks :func:`kernels_enabled`
-instead of importing numpy itself.  Callers resolve a three-state mode:
+instead of importing numpy itself.  The kernels run exactly when numpy
+imports — a platform fact, not a user option; the execution plan
+records it as ``kernels=on|off``.
 
-* ``"off"`` — never use kernels, even with numpy installed;
-* ``"on"``  — use kernels; degrades to the scalar path (rather than
-  failing) when numpy is genuinely absent, because results are
-  identical either way — the execution plan records the downgrade;
-* ``"auto"`` — defer to the process default mode (``"auto"`` unless a
-  test pinned it with :func:`forced_kernel_mode`), which ultimately
-  means "use kernels exactly when numpy is importable".
-
-``None`` also means "the process default".  The distinction matters for
-tests: a config left at ``use_kernels="auto"`` follows
-:func:`forced_kernel_mode`, while an explicit ``"on"``/``"off"`` wins
-over it.
+Tests drive the same code through both paths with
+:func:`forced_kernel_mode`: ``"off"`` pins the scalar path (the
+differential oracle, and the path of a process without numpy), while
+``"on"`` and ``"auto"`` both mean "kernels exactly when numpy imports".
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager
-from typing import Iterator, Optional
+from typing import Iterator
 
 try:  # pragma: no cover - exercised via tests/kernels/test_fallback.py
     import numpy as np
@@ -31,30 +25,21 @@ except Exception:  # pragma: no cover - numpy genuinely absent
 #: Whether the numpy-backed kernels can run in this process.
 HAVE_NUMPY = np is not None
 
-#: The accepted values of ``DiscoveryConfig.use_kernels``.
+#: The accepted values of :func:`forced_kernel_mode`.
 KERNEL_MODES = ("auto", "on", "off")
 
 _default_mode = "auto"
 
 
 def default_kernel_mode() -> str:
-    """The process-wide mode used when a caller passes ``None``."""
+    """The process-wide mode (``"auto"`` unless a test pinned it)."""
     return _default_mode
 
 
-def kernels_enabled(mode: Optional[str] = None) -> bool:
-    """Resolve a kernel mode to "should this call use the numpy path"."""
-    if mode is not None and mode not in KERNEL_MODES:
-        raise ValueError(
-            f"unknown kernel mode {mode!r}; expected one of {KERNEL_MODES}"
-        )
-    if mode is None or mode == "auto":
-        mode = _default_mode
-    if mode == "off":
-        return False
-    # "on" and "auto" both require numpy; "on" without numpy degrades to
-    # the (equivalent) scalar path instead of erroring.
-    return HAVE_NUMPY
+def kernels_enabled() -> bool:
+    """Whether this call should use the numpy path: numpy imports and no
+    test pinned the scalar path."""
+    return _default_mode != "off" and HAVE_NUMPY
 
 
 @contextmanager

@@ -136,9 +136,8 @@ class MatchMemo:
         if table is None:
             if len(store) >= self.max_patterns:
                 # FIFO eviction of the oldest pattern's verdicts.  The
-                # default shields concurrent evictors (the thread-pool
-                # mining fallback shares this memo): losing the race just
-                # means the other thread already evicted the key.
+                # default shields concurrent evictors: losing the race
+                # just means another thread already evicted the key.
                 store.pop(next(iter(store)), None)
             table = store[pattern] = {}
         return table

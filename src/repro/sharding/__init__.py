@@ -6,7 +6,7 @@ statistics (:mod:`repro.sharding.stats`), and runs discovery
 (:class:`ShardedDiscoverer`) and detection (:class:`ShardedDetector`)
 over the merged statistics — producing rule sets and violations
 canonically equal to a monolithic run while keeping every per-shard
-stage bounded by the shard size and fan-out-ready for worker processes.
+stage bounded by the shard size.
 """
 
 from repro.sharding.detection import SHARDED_STRATEGY, ShardedDetector

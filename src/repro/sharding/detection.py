@@ -1,4 +1,4 @@
-"""Shard-parallel violation detection with merge-time block reduction.
+"""Sharded violation detection with merge-time block reduction.
 
 The sharded detector runs the *same* rule semantics as every other
 strategy — violations are constructed by the shared evaluators in
@@ -7,8 +7,7 @@ per-shard pair groups (see :mod:`repro.sharding.stats`) instead of
 per-row scans:
 
 * each shard contributes one ``LHS value → RHS value → rows`` map per
-  attribute pair (the shard fan-out stage; runs on worker processes when
-  the engine injects a pooled ``shard_map``);
+  attribute pair;
 * the maps are reduced in shard order, giving the global distinct-value
   statistics;
 * **constant rules** match the rule's LHS cell once per merged distinct
@@ -29,7 +28,6 @@ from __future__ import annotations
 
 import time
 from typing import (
-    Callable,
     Dict,
     Hashable,
     Iterable,
@@ -47,7 +45,7 @@ from repro.detection.rules import (
     make_rule_evaluator,
 )
 from repro.detection.violation import ViolationReport
-from repro.kernels.runtime import HAVE_NUMPY, kernels_enabled
+from repro.kernels.runtime import kernels_enabled
 from repro.perf import TABLE_ARTIFACTS
 from repro.perf.memo import MatchMemo, MATCH_MEMO
 from repro.perf.timers import StageTimers
@@ -82,19 +80,12 @@ class ShardedDetector:
         self,
         sharded: ShardedTable,
         memo: Optional[MatchMemo] = None,
-        shard_map: Optional[Callable] = None,
-        use_kernels: Optional[str] = None,
     ):
         self.sharded = sharded
         self.memo = MATCH_MEMO if memo is None else memo
-        #: how to apply the per-shard extraction: ``None`` stays
-        #: in-process; anything else is a map hook, e.g.
-        #: :func:`repro.engine.pool.make_shard_map`'s pooled fan-out
-        self._shard_map = shard_map
         #: resolved once: whether the vectorized kernels build the
-        #: per-shard statistics and answer pattern lookups (``None``
-        #: defers to the process-wide default mode)
-        self.use_kernels = kernels_enabled(use_kernels)
+        #: per-shard statistics
+        self.use_kernels = kernels_enabled()
         #: wall-clock accumulated per detection stage across runs
         self.timers = StageTimers()
 
@@ -152,10 +143,8 @@ class ShardedDetector:
         object crosses the store exactly once per run.  Each partial
         folds into its pair's accumulator immediately (value-equal to
         the per-pair merges), and the results are primed into the same
-        merged-artifact slots.  Pairs already cached,
-        single-shard tables, and pooled fan-outs (whose per-pair maps are
-        warm-cached by shard version instead) are left to the existing
-        path.
+        merged-artifact slots.  Pairs already cached and single-shard
+        tables are left to the per-pair path.
         """
         pending: List[Tuple[str, str]] = []
         for pair in pairs:
@@ -163,7 +152,7 @@ class ShardedDetector:
                 continue
             if self.sharded.peek_merged_artifact(("merged_pair_groups",) + pair) is None:
                 pending.append(pair)
-        if len(pending) < 2 or self.sharded.n_shards < 2 or self._shard_map is not None:
+        if len(pending) < 2 or self.sharded.n_shards < 2:
             return
         # fold each shard's partial into its pair's accumulator the moment
         # it is extracted (ascending shard order, so the incremental
@@ -186,56 +175,12 @@ class ShardedDetector:
 
     def _merge_pair_groups(self, lhs: str, rhs: str) -> MergedPairGroups:
         with self.timers.stage("pair_groups"):
-            if self._shard_map is not None and self.sharded.n_shards > 1:
-                if getattr(self._shard_map, "supports_keys", False):
-                    # warm-cacheable fan-out: keyed by shard version, so
-                    # repeated runs over unchanged shards skip the shard
-                    # load and the process round-trip; payloads are
-                    # built lazily, only for cache misses
-                    sharded = self.sharded
-                    versions = sharded.versions()
-                    keys = [
-                        ("shard_pair_groups", index, versions[index], lhs, rhs,
-                         sharded.offset_of(index), self.use_kernels)
-                        for index in range(sharded.n_shards)
-                    ]
-                    shard_groups = self._shard_map(
-                        _extract_shard,
-                        keys=keys,
-                        payload_for=lambda index: (
-                            sharded.store.get(index).column_ref(lhs),
-                            sharded.store.get(index).column_ref(rhs),
-                            sharded.offset_of(index),
-                            self.use_kernels,
-                        ),
-                    )
-                else:
-                    payloads = [
-                        (
-                            shard.column_ref(lhs),
-                            shard.column_ref(rhs),
-                            offset,
-                            self.use_kernels,
-                        )
-                        for offset, shard in self.sharded.iter_shards()
-                    ]
-                    shard_groups = self._shard_map(_extract_shard, payloads)
-            else:
-                shard_groups = [
-                    self._shard_pair_groups(shard, offset, lhs, rhs)
-                    for offset, shard in self.sharded.iter_shards()
-                ]
+            shard_groups = [
+                self._shard_pair_groups(shard, offset, lhs, rhs)
+                for offset, shard in self.sharded.iter_shards()
+            ]
         with self.timers.stage("merge"):
-            # fan the pairwise tree levels out only over a persistent
-            # pool; spinning ephemeral pools per level would cost more
-            # than the merges
-            merge_map = (
-                self._shard_map
-                if getattr(self._shard_map, "pool_backed", False)
-                and len(shard_groups) > 2
-                else None
-            )
-            return tree_merge_pair_groups(shard_groups, merge_map=merge_map)
+            return tree_merge_pair_groups(shard_groups)
 
     def _shard_pair_groups(
         self, shard, offset: int, lhs: str, rhs: str
@@ -262,11 +207,7 @@ class ShardedDetector:
         self, report: ViolationReport, evaluator: ConstantRuleEvaluator
     ) -> None:
         merged = self.pair_groups(evaluator.lhs, evaluator.rhs)
-        matching = merged.matching_values(
-            evaluator.lhs_cell,
-            self.memo,
-            use_kernels="on" if self.use_kernels else "off",
-        )
+        matching = merged.matching_values(evaluator.lhs_cell, self.memo)
         report.comparisons += merged.last_candidates_tested
         report.extend(
             evaluator.emit_value_groups(
@@ -333,15 +274,9 @@ def _build_pair_groups(
 ) -> PairGroups:
     """One shard's pair groups via the requested builder (the kernel
     builder is byte-identical to the scalar extractor)."""
-    if use_kernels and HAVE_NUMPY:
+    if use_kernels:
         from repro.kernels.groupby import pair_groups_kernel
 
         return pair_groups_kernel(lhs_values, rhs_values, offset)
     return extract_pair_groups(lhs_values, rhs_values, offset)
 
-
-def _extract_shard(payload) -> PairGroups:
-    """Worker entry point for the shard fan-out (module-level so it is
-    picklable by ``ProcessPoolExecutor``)."""
-    lhs_values, rhs_values, offset, use_kernels = payload
-    return _build_pair_groups(lhs_values, rhs_values, offset, use_kernels)

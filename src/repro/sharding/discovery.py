@@ -2,9 +2,9 @@
 
 Discovery over a :class:`~repro.sharding.sharded_table.ShardedTable`
 extracts the expensive per-shard statistics — the single-pass column
-tokenizations of Figure 2's inverted-list build — shard by shard
-(optionally on worker processes), merges them by concatenation, and runs
-the unchanged miners and decision function on the merged statistics.
+tokenizations of Figure 2's inverted-list build — shard by shard, merges
+them by concatenation, and runs the unchanged miners and decision
+function on the merged statistics.
 Because merging reproduces the monolithic tokenization exactly (global
 tuple ids are shard offset + local row, which is where concatenation
 puts them), the discovered rule set is *identical* to a single-shard
@@ -16,7 +16,7 @@ tableaux, same PFD names and order.  The differential suite in
 from __future__ import annotations
 
 import time
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.dataset.profiling import TableProfile, profile_sharded
 from repro.discovery.candidates import CandidateDependency, candidate_dependencies
@@ -44,17 +44,11 @@ class ShardedDiscoverer:
         self,
         config: Optional[DiscoveryConfig] = None,
         decision: Optional[DecisionFunction] = None,
-        shard_map: Optional[Callable] = None,
     ):
         #: the monolithic driver supplies the miners, the decision
         #: function, and the assemble stage — one pipeline, two feeders
         self.discoverer = PfdDiscoverer(config, decision)
         self.config = self.discoverer.config
-        #: how to apply the per-shard extraction: ``None`` stays
-        #: in-process (sharing one distinct-value cache across shards),
-        #: anything else is a map hook, e.g.
-        #: :func:`repro.engine.pool.make_shard_map`'s pooled fan-out
-        self._shard_map = shard_map
 
     def discover(self, sharded: ShardedTable, relation: Optional[str] = None) -> List[PFD]:
         """Discover PFDs and return just the PFD list."""
@@ -105,7 +99,7 @@ class ShardedDiscoverer:
         tokenization assembled from per-shard extractions instead of one
         monolithic pass.
         """
-        if kernels_enabled(self.config.use_kernels):
+        if kernels_enabled():
             return self._mine_merged_kernel(sharded, candidates)
         timers = self.discoverer.timers
         tokenizations: Dict[Tuple[str, str], ColumnTokenization] = {}
@@ -246,48 +240,15 @@ class ShardedDiscoverer:
     ) -> ColumnTokenization:
         timers = self.discoverer.timers
         ngram_size = self.config.ngram_size
-        if self._shard_map is not None and sharded.n_shards > 1:
-            if getattr(self._shard_map, "supports_keys", False):
-                # warm-cacheable fan-out: keyed by shard version, so a
-                # repeated run over unchanged shards skips the shard
-                # load and the process round-trip (payloads build lazily,
-                # only for cache misses)
-                versions = sharded.versions()
-                keys = [
-                    ("shard_tokens", index, versions[index], column, mode, ngram_size)
-                    for index in range(sharded.n_shards)
-                ]
-                shard_rows = self._shard_map(
-                    _extract_shard_tokens,
-                    keys=keys,
-                    payload_for=lambda index: (
-                        sharded.store.get(index).column_ref(column),
-                        mode,
-                        ngram_size,
-                    ),
-                )
-            else:
-                payloads = [
-                    (shard.column_ref(column), mode, ngram_size)
-                    for _offset, shard in sharded.iter_shards()
-                ]
-                shard_rows = self._shard_map(_extract_shard_tokens, payloads)
-        else:
-            # One distinct-value cache across shards: a value recurring in
-            # many shards is tokenized once, like the monolithic pass.
-            value_cache: Dict[str, tuple] = {}
-            shard_rows = [
-                ColumnTokenization.extract(
-                    shard.column_ref(column), mode, ngram_size, value_cache=value_cache
-                ).row_tokens
-                for _offset, shard in sharded.iter_shards()
-            ]
+        # One distinct-value cache across shards: a value recurring in
+        # many shards is tokenized once, like the monolithic pass.
+        value_cache: Dict[str, tuple] = {}
+        shard_rows = [
+            ColumnTokenization.extract(
+                shard.column_ref(column), mode, ngram_size, value_cache=value_cache
+            ).row_tokens
+            for _offset, shard in sharded.iter_shards()
+        ]
         with timers.stage("merge"):
             return tree_merge_tokenizations(mode, ngram_size, shard_rows)
 
-
-def _extract_shard_tokens(payload) -> list:
-    """Worker entry point for the tokenization fan-out (module-level so
-    it is picklable by ``ProcessPoolExecutor``)."""
-    values, mode, ngram_size = payload
-    return ColumnTokenization.extract(values, mode, ngram_size).row_tokens

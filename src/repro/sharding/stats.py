@@ -21,10 +21,8 @@ they extract small, *mergeable* statistics per shard and reduce them:
 
 Both statistics are built from dicts of strings plus compact
 ``array('i')`` row-id sequences (see :mod:`repro.dataset.rowids`), so
-they cross process boundaries cheaply when the shard fan-out runs on
-``concurrent.futures`` workers — and stay small enough to hold for a
-whole out-of-core run without approaching the materialized table's
-footprint.
+they stay small enough to hold for a whole out-of-core run without
+approaching the materialized table's footprint.
 
 Both statistics are also **invertible**: because one shard's global row
 ids form a contiguous range, a shard's contribution occupies a
@@ -40,7 +38,7 @@ the shard overlay as a *delta shard* instead of re-merging everything.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from repro.constrained.constrained_pattern import ConstrainedPattern
 from repro.dataset.rowids import RowIds, row_ids
@@ -202,7 +200,6 @@ class MergedPairGroups:
         self,
         lhs_cell,
         memo: MatchMemo,
-        use_kernels: Optional[str] = None,
     ) -> List[str]:
         """Distinct LHS values satisfying a rule's LHS cell.
 
@@ -213,7 +210,7 @@ class MergedPairGroups:
         vectorized kernels are enabled, plain patterns run through the
         batch matcher (identical verdicts, same memo tables).
         """
-        if isinstance(lhs_cell, Pattern) and kernels_enabled(use_kernels):
+        if isinstance(lhs_cell, Pattern) and kernels_enabled():
             candidates = narrow_candidates_by_prefix(self.sorted_values, lhs_cell)
             self.last_candidates_tested = len(candidates)
             return batch_matching_values(lhs_cell, candidates, memo=memo)
@@ -256,16 +253,13 @@ def merge_tokenizations(
 # tests/sharding/test_tree_merge.py).
 #
 # Level-0 inputs are never mutated — they may be cached per-shard
-# artifacts (``TABLE_ARTIFACTS``, the worker pool's warm cache) —
-# so the first merge touching a partial copies it; intermediate results
-# are owned by the reduction and merged in place.  An optional
-# ``merge_map`` hook (same shape as the engines' shard map) runs each
-# level's independent pairwise merges through a fan-out.
+# artifacts (``TABLE_ARTIFACTS``) — so the first merge touching a
+# partial copies it; intermediate results are owned by the reduction and
+# merged in place.
 
 
 def _merge_adjacent_pair_groups(payload) -> PairGroups:
-    """Merge two adjacent pair-group partials (module-level so a process
-    fan-out can pickle it).  ``owns_left`` says whether ``left`` is an
+    """Merge two adjacent pair-group partials.  ``owns_left`` says whether ``left`` is an
     intermediate the reduction owns (mutable) or a level-0 input (copy)."""
     left, right, owns_left = payload
     if owns_left:
@@ -300,7 +294,7 @@ def _merge_adjacent_token_rows(payload) -> List[Tuple[Tuple[str, int, str], ...]
     return merged
 
 
-def _tree_reduce(partials: List, merge_adjacent, merge_map) -> Tuple[object, bool]:
+def _tree_reduce(partials: List, merge_adjacent) -> Tuple[object, bool]:
     """Reduce partials pairwise until one remains.  Returns ``(result,
     owned)`` — ``owned`` is ``False`` only for a single-partial input,
     where the result still aliases the caller's level-0 data."""
@@ -310,10 +304,7 @@ def _tree_reduce(partials: List, merge_adjacent, merge_map) -> Tuple[object, boo
             (partials[i], partials[i + 1], owned[i])
             for i in range(0, len(partials) - 1, 2)
         ]
-        if merge_map is not None and len(payloads) > 1:
-            level = list(merge_map(merge_adjacent, payloads))
-        else:
-            level = [merge_adjacent(payload) for payload in payloads]
+        level = [merge_adjacent(payload) for payload in payloads]
         next_owned = [True] * len(level)
         if len(partials) % 2:
             level.append(partials[-1])
@@ -322,17 +313,14 @@ def _tree_reduce(partials: List, merge_adjacent, merge_map) -> Tuple[object, boo
     return partials[0], owned[0]
 
 
-def tree_merge_pair_groups(
-    shard_groups: Sequence[PairGroups], merge_map=None
-) -> "MergedPairGroups":
+def tree_merge_pair_groups(shard_groups: Sequence[PairGroups]) -> "MergedPairGroups":
     """Tree-reduce per-shard pair groups (in shard order) into one merged
     statistic, value-equal to :func:`merge_pair_groups`.  The level-0
-    partials are left untouched (they may be cached), and ``merge_map``
-    optionally fans each level's independent pairwise merges out."""
+    partials are left untouched (they may be cached)."""
     partials = list(shard_groups)
     if not partials:
         return MergedPairGroups({})
-    result, owned = _tree_reduce(partials, _merge_adjacent_pair_groups, merge_map)
+    result, owned = _tree_reduce(partials, _merge_adjacent_pair_groups)
     if not owned:
         result = {
             lhs_value: {rhs_value: row_ids(rows) for rhs_value, rows in by_rhs.items()}
@@ -345,7 +333,6 @@ def tree_merge_tokenizations(
     mode: str,
     ngram_size: int,
     shard_row_tokens: Sequence[Sequence[Tuple[Tuple[str, int, str], ...]]],
-    merge_map=None,
 ) -> ColumnTokenization:
     """Tree-reduce per-shard tokenization rows, value-equal to
     :func:`merge_tokenizations` (concatenation of adjacent ranges is
@@ -353,6 +340,6 @@ def tree_merge_tokenizations(
     partials = list(shard_row_tokens)
     if not partials:
         return ColumnTokenization(mode, ngram_size, [])
-    result, owned = _tree_reduce(partials, _merge_adjacent_token_rows, merge_map)
+    result, owned = _tree_reduce(partials, _merge_adjacent_token_rows)
     rows = result if owned else list(result)
     return ColumnTokenization(mode, ngram_size, rows)

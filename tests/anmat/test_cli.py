@@ -300,10 +300,9 @@ class TestObjectUrlFlag:
         )
         assert args.object_url == "http://127.0.0.1:80"
 
-    def test_non_http_url_rejected(self):
-        from repro.sharding import ObjectStoreError
-
-        with pytest.raises(ObjectStoreError, match="http"):
+    def test_non_http_url_rejected(self, capsys):
+        # a usage error, validated before any store or client is built
+        with pytest.raises(SystemExit) as exited:
             main(
                 [
                     "detect",
@@ -311,6 +310,8 @@ class TestObjectUrlFlag:
                     "--object-url", "s3://bucket/prefix",
                 ]
             )
+        assert exited.value.code == 2
+        assert "object_url must be an http(s):// URL" in capsys.readouterr().err
 
     def test_non_http_url_rejected_by_the_config_too(self):
         # the session API path validates before any client is built
@@ -376,20 +377,19 @@ class TestObjectUrlFlag:
 
 
 class TestExecutorFlags:
-    """--executor / --n-workers / --explain-plan on discover and detect."""
+    """--executor / --explain-plan on discover and detect."""
 
     def test_executor_flag_parses_on_both_subcommands(self):
         for command in ("discover", "detect"):
             args = build_parser().parse_args([command, "--executor", "sharded"])
             assert args.executor == "sharded"
-            args = build_parser().parse_args([command, "--n-workers", "2"])
-            assert args.n_workers == 2
-        with pytest.raises(SystemExit):  # argparse usage error, exit 2
-            build_parser().parse_args(["detect", "--executor", "remote"])
+        for executor in ("remote", "parallel"):
+            with pytest.raises(SystemExit):  # argparse usage error, exit 2
+                build_parser().parse_args(["detect", "--executor", executor])
 
     def test_forced_executors_report_identically(self, capsys):
         outputs = {}
-        for executor in ("serial", "parallel", "sharded"):
+        for executor in ("serial", "sharded"):
             code = main(
                 [
                     "detect",
@@ -402,7 +402,6 @@ class TestExecutorFlags:
             assert code == EXIT_VIOLATIONS_FOUND
             outputs[executor] = capsys.readouterr().out
         # same violations; only the strategy label differs on sharded
-        assert outputs["parallel"] == outputs["serial"]
         assert outputs["sharded"].splitlines()[0] == (
             outputs["serial"].splitlines()[0].replace("auto", "sharded")
         )
@@ -439,18 +438,37 @@ class TestExecutorFlags:
         out = capsys.readouterr().out
         assert "execution plan (discovery): backend=serial" in out
 
-    def test_n_workers_detect_matches_serial(self, capsys):
-        baseline = main(
-            ["detect", "--dataset", "phone_state", "--min-coverage", "0.5"]
-        )
-        serial_out = capsys.readouterr().out
-        code = main(
-            [
-                "detect",
-                "--dataset", "phone_state",
-                "--min-coverage", "0.5",
-                "--n-workers", "2",
-            ]
-        )
-        assert code == baseline == EXIT_VIOLATIONS_FOUND
-        assert capsys.readouterr().out == serial_out
+
+class TestUsageErrors:
+    """Invalid option values and removed flags are usage errors: exit 2
+    with a one-line message, before any dataset is loaded."""
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["discover", "--min-coverage", "1.5"], "min_coverage must be in [0, 1]"),
+            (["detect", "--allowed-violations", "1"], "allowed_violation_ratio"),
+            (["profile", "--prefetch-depth", "-1"], "prefetch_depth must be >= 0"),
+            (["detect", "--object-url", "ftp://x"], "object_url must be an http(s)"),
+            (["detect", "--n-workers", "2"], "unrecognized arguments: --n-workers"),
+            (["detect", "--pool", "per-call"], "unrecognized arguments: --pool"),
+            (["detect", "--use-kernels", "off"], "unrecognized arguments: --use-kernels"),
+            (["discover", "--min-coverage", "-0.1"], "min_coverage must be in [0, 1]"),
+            (["discover", "--object-url", "s3://bucket"], "object_url must be an http(s)"),
+            (["detect", "--prefetch-depth", "-2"], "prefetch_depth must be >= 0"),
+            (["detect", "--shard-rows", "-3"], "must be >= 0, got -3"),
+            (["discover", "--store", "tape"], "invalid choice: 'tape'"),
+        ],
+    )
+    def test_usage_error_exits_2(self, argv, message, capsys):
+        with pytest.raises(SystemExit) as exited:
+            main(argv)
+        assert exited.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        error_lines = [
+            line for line in captured.err.splitlines() if "error:" in line
+        ]
+        assert len(error_lines) == 1
+        assert message in error_lines[0]
+        assert "Traceback" not in captured.err

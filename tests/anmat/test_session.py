@@ -288,9 +288,9 @@ class TestShardedSession:
         session.run_discovery()
         session.confirm_all()
         # regression: this fallback used to be silent — the planner must
-        # record it on the plan and warn so users know why shard
-        # parallelism was skipped
-        with pytest.warns(PlanWarning, match="shard parallelism is skipped"):
+        # record it on the plan and warn so users know why sharded
+        # execution was skipped
+        with pytest.warns(PlanWarning, match="sharded execution is skipped"):
             report = session.run_detection(strategy="scan")
         assert report.strategy == "scan"
         assert session.last_plan.backend == "serial"
@@ -579,6 +579,42 @@ class TestSessionLifecycle:
         session.close()
         with pytest.raises(ProjectError):
             session.run_profiling()
+
+    @pytest.mark.parametrize("shard_rows", [0, 40])
+    def test_full_loop_runs_in_process(self, shard_rows, small_zip_city_state):
+        """Discovery, detection, the edit loop and a re-check all run in
+        the session's own process, and the re-checked violations equal a
+        from-scratch detection of the edited table."""
+        import multiprocessing
+
+        before = set(multiprocessing.active_children())
+        config = DiscoveryConfig(min_coverage=0.5, shard_rows=shard_rows)
+        with AnmatSession(dataset_name="in-process", config=config) as session:
+            session.load_table(small_zip_city_state.table.copy())
+            session.run_discovery()
+            session.confirm_all()
+            session.run_detection()
+            session.edit_cell(3, "city", "Springfield")
+            session.recheck()
+            assert set(multiprocessing.active_children()) == before
+            fresh = ErrorDetector(session.table).detect_all(
+                session.confirmed_pfds()
+            )
+            assert (
+                session.violations.canonical_violations()
+                == fresh.canonical_violations()
+            )
+        assert set(multiprocessing.active_children()) == before
+
+    def test_object_store_plan_records_prefetch_depth(self, small_zip_city_state):
+        config = DiscoveryConfig(shard_rows=40, store="object", prefetch_depth=3)
+        with AnmatSession(dataset_name="prefetch", config=config) as session:
+            session.load_table(small_zip_city_state.table)
+            plan = session.plan_discovery()
+        assert plan.store == "object"
+        assert plan.prefetch_depth == 3
+        assert any("prefetch_depth=3" in line for line in plan.decisions)
+        assert "prefetch_depth=3" in plan.describe()
 
 
 class TestRecheckShardSize:

@@ -104,6 +104,23 @@ class TestEmployeeAndChembl:
             assert id_pattern.matches(employee_id)
             assert DEPARTMENTS[employee_id[0]] == department
 
+    def test_employee_ids_beyond_capacity_raise(self):
+        # ids are distinct and only 6 x 5 x 900 exist; asking for more
+        # must fail up front instead of rejecting repeats forever
+        from repro.datagen.employees import ID_CAPACITY
+
+        assert ID_CAPACITY == 27_000
+        with pytest.raises(ValueError, match="27000 distinct employee ids"):
+            generate_employee_ids(n_rows=ID_CAPACITY + 1)
+
+    def test_employee_ids_at_capacity_are_all_distinct(self):
+        from repro.datagen.employees import ID_CAPACITY
+
+        dataset = generate_employee_ids(n_rows=ID_CAPACITY, seed=2)
+        ids = dataset.clean_table.column("employee_id")
+        assert len(ids) == ID_CAPACITY
+        assert len(set(ids)) == ID_CAPACITY
+
     def test_chembl_prefix_determines_type(self):
         dataset = generate_compound_table(n_rows=200, seed=1)
         for record_id, record_type, _source in dataset.clean_table.iter_rows():

@@ -38,6 +38,29 @@ class TestValidation:
         with pytest.raises(DiscoveryError):
             DiscoveryConfig(max_tableau_rows=0)
 
+    def test_invalid_shard_rows(self):
+        with pytest.raises(DiscoveryError, match="shard_rows"):
+            DiscoveryConfig(shard_rows=-1)
+
+    def test_invalid_store(self):
+        with pytest.raises(DiscoveryError, match="store"):
+            DiscoveryConfig(store="tape")
+
+    def test_invalid_prefetch_depth(self):
+        with pytest.raises(DiscoveryError, match="prefetch_depth"):
+            DiscoveryConfig(prefetch_depth=-1)
+
+    @pytest.mark.parametrize(
+        "field,value", [("n_workers", 2), ("pool", "per-call"), ("use_kernels", "off")]
+    )
+    def test_deleted_execution_knobs_are_unknown_fields(self, field, value):
+        # execution is in-process only and kernels follow numpy; the old
+        # knobs must fail loudly rather than be silently accepted
+        with pytest.raises(TypeError, match=field):
+            DiscoveryConfig(**{field: value})
+        with pytest.raises(TypeError, match=field):
+            DiscoveryConfig().with_overrides(**{field: value})
+
 
 class TestHelpers:
     def test_min_agreement(self):

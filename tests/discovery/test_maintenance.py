@@ -23,6 +23,7 @@ from repro.datagen import build_dataset
 from repro.datagen.corruption import CorruptionSpec, ErrorInjector
 from repro.discovery import DiscoveryConfig, PfdDiscoverer
 from repro.engine import PlanWarning
+from repro.kernels import forced_kernel_mode
 from repro.sharding import ShardedTable, make_shard_store
 
 #: the PR-4 generator sweep (same shapes as tests/sharding/test_differential.py)
@@ -47,22 +48,21 @@ def dirty_table(name, n_rows, specs, seed):
     return dirty
 
 
-def make_config(store, kernels):
+def make_config(store):
     return DiscoveryConfig(
         min_coverage=0.4,
         allowed_violation_ratio=0.2,
         shard_rows=SHARD_ROWS,
         store=store,
-        use_kernels=kernels,
     )
 
 
-def make_session(name, n_rows, specs, seed, store, kernels):
+def make_session(name, n_rows, specs, seed, store):
     table = dirty_table(name, n_rows, specs, seed)
     sharded = ShardedTable.from_table(
         table, SHARD_ROWS, store=make_shard_store(store)
     )
-    session = AnmatSession(dataset_name=name, config=make_config(store, kernels))
+    session = AnmatSession(dataset_name=name, config=make_config(store))
     session.load_table(sharded)
     return session
 
@@ -99,27 +99,28 @@ class TestMaintenanceDifferential:
     def test_maintained_rules_identical_to_full_rediscovery(
         self, name, n_rows, specs, store, kernels
     ):
-        for seed in SEEDS:
-            session = make_session(name, n_rows, specs, seed, store, kernels)
-            try:
-                session.run_discovery()
-                assert session.last_plan.backend == "sharded"
-                rng = random.Random(seed * 1000 + 7)
-                for _batch in range(BATCHES_PER_SEED):
-                    apply_random_batch(session, rng)
-                    result = session.recheck()
-                    assert session.last_plan.rule_maintenance == "incremental"
-                    full = PfdDiscoverer(session.config).discover_with_report(
-                        session.table.materialize(), relation=name
-                    )
-                    assert rules_of(result) == rules_of(full), (
-                        f"maintained rules diverged (seed={seed})"
-                    )
-                    assert decisions_of(result) == decisions_of(full), (
-                        f"maintained mining decisions diverged (seed={seed})"
-                    )
-            finally:
-                session.close()
+        with forced_kernel_mode(kernels):
+            for seed in SEEDS:
+                session = make_session(name, n_rows, specs, seed, store)
+                try:
+                    session.run_discovery()
+                    assert session.last_plan.backend == "sharded"
+                    rng = random.Random(seed * 1000 + 7)
+                    for _batch in range(BATCHES_PER_SEED):
+                        apply_random_batch(session, rng)
+                        result = session.recheck()
+                        assert session.last_plan.rule_maintenance == "incremental"
+                        full = PfdDiscoverer(session.config).discover_with_report(
+                            session.table.materialize(), relation=name
+                        )
+                        assert rules_of(result) == rules_of(full), (
+                            f"maintained rules diverged (seed={seed})"
+                        )
+                        assert decisions_of(result) == decisions_of(full), (
+                            f"maintained mining decisions diverged (seed={seed})"
+                        )
+                finally:
+                    session.close()
 
 
 @pytest.mark.parametrize(
@@ -130,7 +131,7 @@ class TestMaintenanceFallbacks:
     re-discovery — with the fallback recorded on the plan."""
 
     def test_append_falls_back_to_full(self, name, n_rows, specs):
-        session = make_session(name, n_rows, specs, 3, "memory", "off")
+        session = make_session(name, n_rows, specs, 3, "memory")
         try:
             session.run_discovery()
             template = session.table.row(0)
@@ -163,7 +164,7 @@ class TestMaintenanceFallbacks:
             session.close()
 
     def test_delete_falls_back_to_full(self, name, n_rows, specs):
-        session = make_session(name, n_rows, specs, 3, "memory", "off")
+        session = make_session(name, n_rows, specs, 3, "memory")
         try:
             session.run_discovery()
             session.table.delete_row(5)
@@ -211,7 +212,7 @@ class TestMaintenanceFallbacks:
     def test_rule_maintenance_full_requested(self, name, n_rows, specs):
         """``rule_maintenance='full'`` re-discovers even with a seeded
         sharded baseline."""
-        session = make_session(name, n_rows, specs, 3, "memory", "off")
+        session = make_session(name, n_rows, specs, 3, "memory")
         session.config = session.config.with_overrides(rule_maintenance="full")
         try:
             session.run_discovery()
@@ -228,7 +229,7 @@ class TestMaintenanceFallbacks:
     def test_recheck_without_discovery_raises(self, name, n_rows, specs):
         from repro.errors import ProjectError
 
-        session = make_session(name, n_rows, specs, 3, "memory", "off")
+        session = make_session(name, n_rows, specs, 3, "memory")
         try:
             with pytest.raises(ProjectError):
                 session.recheck()
@@ -245,7 +246,7 @@ class TestMaintainedDetection:
     def test_recheck_after_edit_loop_redetects_identically(self):
         from repro.detection import ErrorDetector
 
-        session = make_session(*GENERATORS[0], 3, "memory", "off")
+        session = make_session(*GENERATORS[0], 3, "memory")
         try:
             session.run_discovery()
             session.confirm_all()
@@ -275,7 +276,7 @@ class TestMaintainedDetection:
             session.close()
 
     def test_unconfirmed_recheck_returns_to_discovered(self):
-        session = make_session(*GENERATORS[0], 3, "memory", "off")
+        session = make_session(*GENERATORS[0], 3, "memory")
         try:
             session.run_discovery()
             session.table.set_cell(0, session.table.column_names()[0], "X0")

@@ -1,8 +1,8 @@
 """Differential tests: executor choice must not change results.
 
 The PR-4 generator matrix runs through the engine API under every
-backend — serial, parallel, and sharded (in-memory *and* spill-to-disk
-shard store) — and each backend must produce the identical rule set and
+backend — serial and sharded (in-memory *and* spill-to-disk shard
+store) — and each backend must produce the identical rule set and
 canonically equal violations.  This is the engine's contract: the
 planner may route a run anywhere without changing its meaning.
 """
@@ -18,6 +18,7 @@ from repro.discovery import DiscoveryConfig
 from repro.engine import (
     DataSource,
     ExecutionBackend,
+    PlanWarning,
     SpillToDiskShardStore,
     build_executor,
     plan_detection,
@@ -37,14 +38,10 @@ SEEDS = [3, 58]
 
 BASE = dict(min_coverage=0.4, allowed_violation_ratio=0.2)
 
-#: requested-executor → config that routes there (workers kept at 2 so
-#: the process pools stay cheap; the pool degrades to serial in
-#: fork-less sandboxes, which exercises the same code path)
+#: requested-executor → config that routes there
 EXECUTOR_CONFIGS = {
     "serial": DiscoveryConfig(**BASE),
-    "parallel": DiscoveryConfig(**BASE, n_workers=2),
     "sharded": DiscoveryConfig(**BASE, shard_rows=13),
-    "sharded-workers": DiscoveryConfig(**BASE, shard_rows=13, n_workers=2),
 }
 
 
@@ -84,7 +81,6 @@ class TestExecutorInvariance:
         }
         _, _, rules, violations = results["serial"]
         assert results["serial"][0].backend == ExecutionBackend.SERIAL
-        assert results["parallel"][0].backend == ExecutionBackend.PARALLEL
         assert results["sharded"][0].backend == ExecutionBackend.SHARDED
         for label, (d_plan, _v_plan, got_rules, got_violations) in results.items():
             assert got_rules == rules, f"rule set diverged under {label}"
@@ -109,7 +105,7 @@ class TestExecutorInvariance:
         table = dirty_table(name, n_rows, specs, seed)
         base = DiscoveryConfig(**BASE)
         _, _, rules, violations = run_engine(table, base)
-        for requested in ("serial", "parallel", "sharded"):
+        for requested in ("serial", "sharded"):
             d_plan, _v, got_rules, got_violations = run_engine(
                 table, base, executor=requested
             )
@@ -120,35 +116,44 @@ class TestExecutorInvariance:
             )
 
 
-class TestParallelDetection:
-    """The per-rule detection fan-out keeps monolithic semantics."""
+class TestPinnedStrategyDetection:
+    """An explicit detection strategy on a sharded config pins the run to
+    the serial executor, which must keep the monolithic semantics."""
 
     @pytest.mark.parametrize(
         "strategy",
         [DetectionStrategy.SCAN, DetectionStrategy.INDEX, DetectionStrategy.BRUTEFORCE],
     )
-    def test_strategies_survive_fanout(self, strategy):
+    def test_pinned_strategy_matches_direct_detector(self, strategy):
         from repro.detection import ErrorDetector
         from repro.discovery import PfdDiscoverer
-        from repro.engine import detect_all_parallel
 
         table = dirty_table("zip_city_state", 90, [], 7)
         pfds = PfdDiscoverer(DiscoveryConfig(**BASE)).discover(table)
         assert pfds
-        serial = ErrorDetector(table).detect_all(pfds, strategy=strategy)
-        parallel = detect_all_parallel(table, list(pfds), strategy, n_workers=2)
-        assert parallel.canonical_violations() == serial.canonical_violations()
-        assert parallel.strategy == strategy
-        assert parallel.n_rows == serial.n_rows
+        config = DiscoveryConfig(**BASE, shard_rows=13)
+        with pytest.warns(PlanWarning, match="sharded execution is skipped"):
+            plan = plan_detection(table.n_rows, config, strategy=strategy)
+        assert plan.backend == ExecutionBackend.SERIAL
+        report = build_executor(plan).run_detection(plan, DataSource(table), pfds)
+        direct = ErrorDetector(table).detect_all(pfds, strategy=strategy)
+        assert report.canonical_violations() == direct.canonical_violations()
+        assert report.strategy == strategy
+        assert report.n_rows == direct.n_rows
 
-    def test_single_rule_runs_inline(self):
+    def test_auto_strategy_keeps_sharded_backend(self):
         from repro.discovery import PfdDiscoverer
-        from repro.engine import detect_all_parallel
 
         table = dirty_table("zip_city_state", 60, [], 3)
-        pfds = PfdDiscoverer(DiscoveryConfig(**BASE)).discover(table)[:1]
-        report = detect_all_parallel(table, pfds, DetectionStrategy.AUTO, n_workers=4)
-        assert report.strategy == DetectionStrategy.AUTO
+        pfds = PfdDiscoverer(DiscoveryConfig(**BASE)).discover(table)
+        config = DiscoveryConfig(**BASE, shard_rows=13)
+        plan = plan_detection(table.n_rows, config)
+        assert plan.backend == ExecutionBackend.SHARDED
+        serial_plan = plan_detection(table.n_rows, DiscoveryConfig(**BASE))
+        source = DataSource(table)
+        sharded = build_executor(plan).run_detection(plan, source, pfds)
+        serial = build_executor(serial_plan).run_detection(serial_plan, source, pfds)
+        assert sharded.canonical_violations() == serial.canonical_violations()
 
 
 class TestDataSource:

@@ -1,7 +1,7 @@
 """Planner unit tests: the full routing matrix.
 
-Every combination of (shard_rows, n_workers, strategy, upload kind,
-requested executor) must resolve to a deterministic backend, with the
+Every combination of (shard_rows, strategy, upload kind, requested
+executor) must resolve to a deterministic backend, with the
 decisions recorded on the plan and the silent-override case warning.
 """
 
@@ -12,7 +12,6 @@ import pytest
 from repro.detection import DetectionStrategy
 from repro.discovery import DiscoveryConfig
 from repro.engine import (
-    DEFAULT_PARALLEL_WORKERS,
     DEFAULT_SHARD_ROWS,
     ExecutionBackend,
     PlanWarning,
@@ -23,8 +22,8 @@ from repro.engine import (
 from repro.errors import DetectionError
 
 
-def config(shard_rows=0, n_workers=0):
-    return DiscoveryConfig(shard_rows=shard_rows, n_workers=n_workers)
+def config(shard_rows=0):
+    return DiscoveryConfig(shard_rows=shard_rows)
 
 
 class TestAutoRouting:
@@ -36,16 +35,9 @@ class TestAutoRouting:
         assert plan.backend == ExecutionBackend.SERIAL
         assert plan.shard_rows == 0
         assert plan.n_shards == 0
-        # the only default decision is the kernel-mode resolution
-        routing = [d for d in plan.decisions if not d.startswith("use_kernels")]
-        assert routing == []
+        assert plan.decisions == []
         assert plan.use_kernels in ("on", "off")
-
-    @pytest.mark.parametrize("kind", ["discovery", "detection"])
-    def test_n_workers_routes_parallel(self, kind):
-        plan = plan_run(kind, 100, config(n_workers=4))
-        assert plan.backend == ExecutionBackend.PARALLEL
-        assert plan.n_workers == 4
+        assert f"kernels={plan.use_kernels}" in plan.describe()
 
     @pytest.mark.parametrize("kind", ["discovery", "detection"])
     def test_shard_rows_routes_sharded(self, kind):
@@ -60,12 +52,6 @@ class TestAutoRouting:
         assert plan.backend == ExecutionBackend.SHARDED
         assert plan.shard_rows == 25  # keeps the upload's partition
 
-    def test_shard_rows_beats_n_workers_and_keeps_fanout(self):
-        # both knobs: sharded backend, workers fan out the extraction
-        plan = plan_run("discovery", 100, config(shard_rows=10, n_workers=3))
-        assert plan.backend == ExecutionBackend.SHARDED
-        assert plan.n_workers == 3
-
     def test_config_shard_rows_beats_upload_partition(self):
         plan = plan_run(
             "discovery", 100, config(shard_rows=40), sharded_upload=True,
@@ -76,7 +62,7 @@ class TestAutoRouting:
 
 class TestExplicitStrategyPinsMonolithic:
     """The recorded-and-warned fallback: an explicit detection strategy
-    on a sharded dataset skips shard parallelism (regression for the
+    on a sharded dataset skips sharded execution (regression for the
     silent `strategy == AUTO` special case in the old session)."""
 
     @pytest.mark.parametrize(
@@ -84,7 +70,7 @@ class TestExplicitStrategyPinsMonolithic:
         [DetectionStrategy.SCAN, DetectionStrategy.INDEX, DetectionStrategy.BRUTEFORCE],
     )
     def test_explicit_strategy_on_sharded_config_warns(self, strategy):
-        with pytest.warns(PlanWarning, match="shard parallelism is skipped"):
+        with pytest.warns(PlanWarning, match="sharded execution is skipped"):
             plan = plan_detection(100, config(shard_rows=10), strategy=strategy)
         assert plan.backend == ExecutionBackend.SERIAL
         assert plan.strategy == strategy
@@ -97,14 +83,6 @@ class TestExplicitStrategyPinsMonolithic:
                 upload_shard_rows=25,
             )
         assert plan.backend == ExecutionBackend.SERIAL
-
-    def test_explicit_strategy_with_workers_falls_back_to_parallel(self):
-        with pytest.warns(PlanWarning):
-            plan = plan_detection(
-                100, config(shard_rows=10, n_workers=2), strategy="index"
-            )
-        assert plan.backend == ExecutionBackend.PARALLEL
-        assert plan.strategy == "index"
 
     def test_auto_strategy_does_not_warn(self):
         with warnings.catch_warnings():
@@ -131,26 +109,6 @@ class TestExplicitExecutors:
         plan = plan_run("discovery", 100, config(shard_rows=10), executor="serial")
         assert plan.backend == ExecutionBackend.SERIAL
         assert any("serial executor requested" in d for d in plan.decisions)
-
-    def test_parallel_overrides_sharding_request(self):
-        plan = plan_run("discovery", 100, config(shard_rows=10), executor="parallel")
-        assert plan.backend == ExecutionBackend.PARALLEL
-
-    def test_parallel_defaults_workers(self):
-        plan = plan_run("discovery", 100, config(), executor="parallel")
-        assert plan.n_workers == DEFAULT_PARALLEL_WORKERS
-        assert any("defaulting" in d for d in plan.decisions)
-
-    def test_parallel_keeps_configured_workers(self):
-        plan = plan_run("discovery", 100, config(n_workers=8), executor="parallel")
-        assert plan.n_workers == 8
-
-    def test_serial_zeroes_ignored_workers(self):
-        # the plan must describe what actually runs: the serial backend
-        # never uses workers, so the knob is zeroed with a decision
-        plan = plan_run("discovery", 100, config(n_workers=4), executor="serial")
-        assert plan.n_workers == 0
-        assert any("is ignored" in d for d in plan.decisions)
 
     def test_sharded_defaults_shard_rows(self):
         plan = plan_run("discovery", 100, config(), executor="sharded")
@@ -180,8 +138,9 @@ class TestValidationAndShape:
             plan_run("profile", 10, config())
 
     def test_unknown_executor_rejected(self):
-        with pytest.raises(ValueError, match="unknown executor"):
-            plan_run("discovery", 10, config(), executor="remote")
+        for executor in ("remote", "parallel"):
+            with pytest.raises(ValueError, match="unknown executor"):
+                plan_run("discovery", 10, config(), executor=executor)
 
     def test_unknown_strategy_rejected(self):
         with pytest.raises(DetectionError, match="unknown strategy"):
@@ -300,3 +259,37 @@ class TestObjectClientRouting:
 
         with pytest.raises(DiscoveryError, match="object_url"):
             DiscoveryConfig(store="object", object_url="ftp://host/x")
+
+
+class TestPrefetchRouting:
+    """plan.prefetch_depth: recorded exactly when shard objects leave the
+    process (the object store on the sharded backend)."""
+
+    @pytest.mark.parametrize("kind", ["discovery", "detection"])
+    def test_object_store_records_prefetch_depth(self, kind):
+        cfg = DiscoveryConfig(shard_rows=10, store="object", prefetch_depth=3)
+        plan = plan_run(kind, 100, cfg)
+        assert plan.prefetch_depth == 3
+        assert any(d.startswith("prefetch_depth=3:") for d in plan.decisions)
+        assert "prefetch_depth=3" in plan.describe().splitlines()[0]
+
+    def test_zero_depth_records_sequential_reads(self):
+        cfg = DiscoveryConfig(shard_rows=10, store="object", prefetch_depth=0)
+        plan = plan_run("discovery", 100, cfg)
+        assert plan.prefetch_depth == 0
+        assert any("read sequentially" in d for d in plan.decisions)
+        assert "prefetch_depth" not in plan.describe().splitlines()[0]
+
+    @pytest.mark.parametrize("store", ["memory", "spill"])
+    def test_other_stores_never_prefetch(self, store):
+        cfg = DiscoveryConfig(shard_rows=10, store=store, prefetch_depth=3)
+        plan = plan_run("discovery", 100, cfg)
+        assert plan.prefetch_depth == 0
+        assert not any("prefetch_depth" in d for d in plan.decisions)
+        assert "prefetch_depth" not in plan.describe()
+
+    def test_monolithic_backend_never_prefetches(self):
+        cfg = DiscoveryConfig(store="object", prefetch_depth=3)
+        plan = plan_run("discovery", 100, cfg, executor="serial")
+        assert plan.prefetch_depth == 0
+        assert not any("prefetch_depth" in d for d in plan.decisions)

@@ -23,6 +23,7 @@ from repro.discovery.inverted_index import ColumnTokenization
 from repro.kernels.encoder import encode_column
 from repro.kernels.groupby import pair_groups_kernel
 from repro.kernels.match import batch_verdicts
+from repro.kernels.runtime import forced_kernel_mode
 from repro.kernels.tokenize import batch_tokenize, tokenization_from_encoding
 from repro.patterns import parse_pattern
 from repro.perf import clear_caches
@@ -140,9 +141,8 @@ class TestDiscoveryEquivalence:
         results = {}
         for mode in ("off", "on", "auto"):
             clear_caches()
-            result = PfdDiscoverer(
-                config.with_overrides(use_kernels=mode)
-            ).discover_with_report(dirty)
+            with forced_kernel_mode(mode):
+                result = PfdDiscoverer(config).discover_with_report(dirty)
             results[mode] = (
                 [p.describe() for p in result.pfds],
                 _report_fingerprint(result),
@@ -161,12 +161,10 @@ class TestUglyTableDiscovery:
         )
         config = DiscoveryConfig(min_coverage=0.2, allowed_violation_ratio=0.3)
         clear_caches()
-        off = PfdDiscoverer(
-            config.with_overrides(use_kernels="off")
-        ).discover_with_report(table)
+        with forced_kernel_mode("off"):
+            off = PfdDiscoverer(config).discover_with_report(table)
         clear_caches()
-        on = PfdDiscoverer(
-            config.with_overrides(use_kernels="on")
-        ).discover_with_report(table)
+        with forced_kernel_mode("on"):
+            on = PfdDiscoverer(config).discover_with_report(table)
         assert [p.describe() for p in on.pfds] == [p.describe() for p in off.pfds]
         assert _report_fingerprint(on) == _report_fingerprint(off)

@@ -1,10 +1,11 @@
 """Graceful degradation when numpy is unavailable or kernels are off.
 
-The kernels are an optional accelerator: ``use_kernels="on"`` without
-numpy must degrade to the scalar path (the plan records the downgrade
-and warns), ``"auto"`` must resolve against actual availability, and a
-process where numpy cannot even be imported must still import
-``repro.kernels`` and run discovery end to end.
+The kernels are an optional accelerator that runs exactly when numpy
+imports: without numpy every caller must stay on the scalar path (the
+plan records ``kernels=off``), tests pin that path with
+:func:`forced_kernel_mode`, and a process where numpy cannot even be
+imported must still import ``repro.kernels`` and run discovery end to
+end.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ import pytest
 from repro.datagen import build_dataset
 from repro.discovery import DiscoveryConfig, PfdDiscoverer
 from repro.engine.plan import PlanWarning, plan_run
-from repro.errors import DiscoveryError
 from repro.kernels import runtime
 from repro.kernels.runtime import (
     default_kernel_mode,
@@ -31,32 +31,20 @@ from repro.sharding import ShardedDetector, ShardedTable
 
 class TestModeResolution:
     def test_off_is_always_off(self):
-        assert kernels_enabled("off") is False
+        with forced_kernel_mode("off"):
+            assert kernels_enabled() is False
+        assert default_kernel_mode() == "auto"
 
     def test_on_and_auto_track_numpy(self):
-        assert kernels_enabled("on") is runtime.HAVE_NUMPY
-        assert kernels_enabled("auto") is runtime.HAVE_NUMPY
-        assert kernels_enabled(None) is kernels_enabled(default_kernel_mode())
+        assert kernels_enabled() is runtime.HAVE_NUMPY
+        for mode in ("on", "auto"):
+            with forced_kernel_mode(mode):
+                assert kernels_enabled() is runtime.HAVE_NUMPY
 
     def test_unknown_mode_raises(self):
         with pytest.raises(ValueError):
-            kernels_enabled("fast")
-        with pytest.raises(ValueError):
             with forced_kernel_mode("fast"):
                 pass  # pragma: no cover
-
-    def test_forced_mode_pins_auto_but_not_explicit(self):
-        with forced_kernel_mode("off"):
-            assert kernels_enabled("auto") is False
-            assert kernels_enabled(None) is False
-            # explicit requests win over the pinned default
-            assert kernels_enabled("on") is runtime.HAVE_NUMPY
-            assert kernels_enabled("off") is False
-        assert default_kernel_mode() == "auto"
-
-    def test_config_rejects_bad_mode(self):
-        with pytest.raises(DiscoveryError):
-            DiscoveryConfig(use_kernels="fast")
 
 
 class TestNumpyAbsent:
@@ -66,58 +54,46 @@ class TestNumpyAbsent:
 
     def test_on_degrades_to_scalar(self, monkeypatch):
         monkeypatch.setattr(runtime, "HAVE_NUMPY", False)
-        assert kernels_enabled("on") is False
-        assert kernels_enabled("auto") is False
+        assert kernels_enabled() is False
+        with forced_kernel_mode("on"):
+            assert kernels_enabled() is False
 
     def test_discovery_still_runs_identically(self, monkeypatch):
         table = build_dataset("zip_city_state", n_rows=60, seed=4).table
-        config = DiscoveryConfig(
-            min_coverage=0.4, allowed_violation_ratio=0.2, use_kernels="off"
-        )
+        config = DiscoveryConfig(min_coverage=0.4, allowed_violation_ratio=0.2)
         clear_caches()
-        expected = [
-            p.describe()
-            for p in PfdDiscoverer(config).discover_with_report(table).pfds
-        ]
+        with forced_kernel_mode("off"):
+            expected = [
+                p.describe()
+                for p in PfdDiscoverer(config).discover_with_report(table).pfds
+            ]
         monkeypatch.setattr(runtime, "HAVE_NUMPY", False)
         clear_caches()
-        degraded = PfdDiscoverer(
-            config.with_overrides(use_kernels="on")
-        ).discover_with_report(table)
+        degraded = PfdDiscoverer(config).discover_with_report(table)
         assert [p.describe() for p in degraded.pfds] == expected
-
-    def test_plan_records_downgrade_and_warns(self, monkeypatch):
-        monkeypatch.setattr(runtime, "HAVE_NUMPY", False)
-        monkeypatch.setattr("repro.engine.plan.HAVE_NUMPY", False)
-        with pytest.warns(PlanWarning, match="numpy is unavailable"):
-            plan = plan_run("discovery", 100, DiscoveryConfig(use_kernels="on"))
-        assert plan.use_kernels == "off"
-        assert any("scalar path" in d for d in plan.decisions)
 
     def test_plan_auto_resolution_is_recorded(self):
         plan = plan_run("discovery", 100, DiscoveryConfig())
         resolved = "on" if runtime.HAVE_NUMPY else "off"
         assert plan.use_kernels == resolved
-        assert any(
-            d.startswith("use_kernels=auto resolves to") for d in plan.decisions
-        )
         assert f"kernels={resolved}" in plan.describe()
+        with forced_kernel_mode("off"):
+            plan = plan_run("discovery", 100, DiscoveryConfig())
+        assert plan.use_kernels == "off"
+        assert "kernels=off" in plan.describe()
 
 
 class TestImportTimeFallback:
     def test_runtime_imports_without_numpy(self, monkeypatch):
         """Reload the runtime with numpy blocked: the import must
-        degrade, not fail, and mode resolution must report kernels
-        unavailable."""
+        degrade, not fail, and report kernels unavailable."""
         monkeypatch.delitem(sys.modules, "numpy", raising=False)
         monkeypatch.setitem(sys.modules, "numpy", None)
         try:
             importlib.reload(runtime)
             assert runtime.HAVE_NUMPY is False
             assert runtime.np is None
-            assert runtime.kernels_enabled("on") is False
-            assert runtime.kernels_enabled("auto") is False
-            assert runtime.kernels_enabled("off") is False
+            assert runtime.kernels_enabled() is False
         finally:
             monkeypatch.undo()
             importlib.reload(runtime)
@@ -134,25 +110,18 @@ class TestShardedDetectorKnob:
         for mode in ("off", "on", "auto"):
             clear_caches()
             sharded = ShardedTable.from_table(dataset.table, 7)
-            detector = ShardedDetector(sharded, use_kernels=mode)
-            reports[mode] = detector.detect_all(pfds).canonical_violations()
+            with forced_kernel_mode(mode):
+                detector = ShardedDetector(sharded)
+                reports[mode] = detector.detect_all(pfds).canonical_violations()
         assert reports["on"] == reports["off"]
         assert reports["auto"] == reports["off"]
 
-    def test_detector_rejects_bad_mode(self):
-        sharded = ShardedTable.from_table(
-            build_dataset("zip_city_state", n_rows=20, seed=1).table, 5
-        )
-        with pytest.raises(ValueError):
-            ShardedDetector(sharded, use_kernels="fast")
-
 
 def test_no_warning_when_auto_without_numpy(monkeypatch):
-    """``auto`` silently resolves; only an explicit unfulfillable ``on``
-    warns."""
+    """Missing numpy is a platform fact, not an overridden request: the
+    plan records ``kernels=off`` without a warning."""
     monkeypatch.setattr(runtime, "HAVE_NUMPY", False)
-    monkeypatch.setattr("repro.engine.plan.HAVE_NUMPY", False)
     with warnings.catch_warnings():
         warnings.simplefilter("error", PlanWarning)
-        plan = plan_run("discovery", 100, DiscoveryConfig(use_kernels="auto"))
+        plan = plan_run("discovery", 100, DiscoveryConfig())
     assert plan.use_kernels == "off"

@@ -1,10 +1,10 @@
-"""Equivalence: cached, memoized, and parallel paths == uncached serial.
+"""Equivalence: cached, memoized and sharded paths == uncached serial.
 
 The perf subsystem is pure acceleration — these tests prove that the
 shared compiled-pattern caches, the MatchMemo, the per-table artifact
-cache, the single-pass columnar inverted-index build, and the
-``n_workers > 1`` fan-out all produce results identical to the uncached
-serial implementation, on the zip → city/state and employee datasets.
+cache, the single-pass columnar inverted-index build and the sharded
+engine all produce results identical to the uncached serial
+implementation, on the zip → city/state and employee datasets.
 """
 
 from __future__ import annotations
@@ -98,18 +98,20 @@ class TestDiscoveryEquivalence:
         assert cold_caches == uncached
         assert warm_caches == uncached
 
-    def test_parallel_equals_serial(self, dataset, zip_table, employee_table):
+    def test_sharded_engine_equals_uncached_serial(
+        self, dataset, zip_table, employee_table
+    ):
         from repro.engine import DataSource, build_executor, plan_discovery
 
         table = self._table(dataset, zip_table, employee_table)
-        serial = canonical_discovery(PfdDiscoverer().discover_with_report(table))
-        config = DiscoveryConfig(n_workers=2)
-        plan = plan_discovery(table.n_rows, config)
-        assert plan.backend == "parallel"
-        parallel = canonical_discovery(
+        uncached = discover_uncached(table)
+        perf.clear_caches()
+        plan = plan_discovery(table.n_rows, DiscoveryConfig(shard_rows=64))
+        assert plan.backend == "sharded"
+        sharded = canonical_discovery(
             build_executor(plan).run_discovery(plan, DataSource(table))
         )
-        assert parallel == serial
+        assert sharded == uncached
 
 
 @pytest.mark.parametrize("dataset", ["zip", "employee"])

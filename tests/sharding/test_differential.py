@@ -124,24 +124,36 @@ class TestDifferential:
             ShardedDetector(sharded).detect(pfd).canonical_violations() == expected
         )
 
-    def test_detection_equal_with_worker_fanout(self, name, n_rows, specs, seed):
-        """The pooled shard-map path (process pool, or its serial
-        fallback) must not change the merged statistics."""
-        from repro.engine import make_shard_map
-
+    def test_shard_major_warmup_equals_per_pair_merges(
+        self, name, n_rows, specs, seed
+    ):
+        """``warm_pair_groups`` folds every pair's statistic in one
+        shard-major pass; it must leave the same merged statistics (and
+        so the same violations) as the per-pair tree merges."""
         table = dirty_table(name, n_rows, specs, seed)
+        columns = table.column_names()
+        # every ordered column pair: always at least two, so the batched
+        # pass runs even when discovery finds a single rule
+        pairs = [(lhs, rhs) for lhs in columns for rhs in columns if lhs != rhs]
+        shard_rows = max(1, table.n_rows // 3)
+        clear_caches()
+        warmed = ShardedDetector(ShardedTable.from_table(table, shard_rows))
+        warmed.warm_pair_groups(pairs)
+        clear_caches()
+        per_pair = ShardedDetector(ShardedTable.from_table(table, shard_rows))
+        for lhs, rhs in pairs:
+            assert warmed.sharded.peek_merged_artifact(
+                ("merged_pair_groups", lhs, rhs)
+            ) is not None, f"warm-up skipped {lhs} -> {rhs}"
+            got = warmed.pair_groups(lhs, rhs)
+            expected = per_pair.pair_groups(lhs, rhs)
+            assert got.groups == expected.groups, f"{lhs} -> {rhs} diverged"
+            assert got.sorted_values == expected.sorted_values
         pfds = PfdDiscoverer(CONFIG).discover(table)
-        if not pfds:
-            pytest.skip("generator/seed pair discovered no rules")
-        sharded = ShardedTable.from_table(table, max(1, table.n_rows // 3))
-        serial = ShardedDetector(sharded).detect_all(pfds).canonical_violations()
-        fanned = ShardedTable.from_table(table, max(1, table.n_rows // 3))
-        parallel = (
-            ShardedDetector(fanned, shard_map=make_shard_map(2))
-            .detect_all(pfds)
-            .canonical_violations()
+        assert (
+            warmed.detect_all(pfds).canonical_violations()
+            == per_pair.detect_all(pfds).canonical_violations()
         )
-        assert parallel == serial
 
 
 # -- bounded-memory differential: the out-of-core session ----------------------

@@ -2,12 +2,10 @@
 
 The sharded engines replaced their driver-side left folds
 (:func:`merge_pair_groups`, :func:`merge_tokenizations`) with pairwise
-tree reductions that can fan each level out across the worker pool.
-Correctness rests on one invariant: merging *adjacent* partials keeps
-row lists ascending at every level, so the tree result is value-equal
-to the fold for any shard count.  These tests prove that over random
-shardings — serial, through a serial ``merge_map``, and through a real
-pool-backed shard map — and pin that level-0 inputs (potentially cached
+tree reductions.  Correctness rests on one invariant: merging *adjacent*
+partials keeps row lists ascending at every level, so the tree result is
+value-equal to the fold for any shard count.  These tests prove that
+over random shardings and pin that level-0 inputs (potentially cached
 artifacts) are never mutated.
 """
 
@@ -17,10 +15,10 @@ import random
 
 import pytest
 
-from repro.engine.pool import make_shard_map, serial_map
-from repro.engine.worker_pool import WorkerPool
 from repro.sharding.stats import (
+    MergedPairGroups,
     extract_pair_groups,
+    merge_into_pair_groups,
     merge_pair_groups,
     merge_tokenizations,
     tree_merge_pair_groups,
@@ -136,30 +134,21 @@ def test_level0_partials_are_never_mutated(n_shards):
     assert [list(rows) for rows in token_rows] == token_snapshots
 
 
-@pytest.mark.parametrize("n_shards", [2, 3, 7, 10])
-def test_tree_merge_through_serial_merge_map(n_shards):
-    rng = random.Random(11)
-    partials = shard_partials(rng, n_shards)
-    expected = groups_as_plain(merge_pair_groups(partials))
-    observed = tree_merge_pair_groups(partials, merge_map=serial_map)
-    assert groups_as_plain(observed) == expected
-
-    token_rows = token_partials(rng, n_shards)
-    assert (
-        tree_merge_tokenizations("token", 3, token_rows, merge_map=serial_map).row_tokens
-        == merge_tokenizations("token", 3, token_rows).row_tokens
-    )
-
-
-def test_tree_merge_through_pool_backed_shard_map():
-    rng = random.Random(23)
-    partials = shard_partials(rng, 9)
-    expected = groups_as_plain(merge_pair_groups(partials))
-    with WorkerPool(2) as pool:
-        shard_map = make_shard_map(2, pool=pool)
-        assert getattr(shard_map, "pool_backed", False)
-        observed = tree_merge_pair_groups(partials, merge_map=shard_map)
-        assert groups_as_plain(observed) == expected
-        # level-0 partials survive a process fan-out untouched too
-        # (workers get pickled copies; the driver's dicts are not written)
-        assert groups_as_plain(merge_pair_groups(partials)) == expected
+@pytest.mark.parametrize("n_shards", [c for c in SHARD_COUNTS if c > 0])
+@pytest.mark.parametrize("seed", [0, 7, 42])
+def test_incremental_fold_equals_tree_merge(n_shards, seed):
+    """The shard-major warm-up folds each partial into its accumulator
+    the moment it is extracted (:func:`merge_into_pair_groups`, in
+    ascending shard order); that must equal the tree reduction, sorted
+    distinct values included, without aliasing any partial's rows."""
+    partials = shard_partials(random.Random(seed), n_shards)
+    tree = tree_merge_pair_groups(partials)
+    accumulator = MergedPairGroups({})
+    for partial in partials:
+        merge_into_pair_groups(accumulator, partial)
+    assert groups_as_plain(accumulator) == groups_as_plain(tree)
+    assert accumulator.sorted_values == tree.sorted_values
+    for partial in partials:
+        for lhs, by_rhs in partial.items():
+            for rhs, rows in by_rhs.items():
+                assert accumulator.groups[lhs][rhs] is not rows

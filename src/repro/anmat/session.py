@@ -159,7 +159,7 @@ class AnmatSession:
         LRU) in memory.  The closing :meth:`load_table` keeps the
         dataset on that store: the session reads through a shard
         overlay, so with a disk-backed store the resident footprint is
-        bounded by the store's LRU (plus its interned distinct values),
+        bounded by the store's LRU (plus its per-column dictionaries),
         not the dataset.  ``store`` defaults to the backend
         ``config.store`` names (``memory``/``spill``/``object``, rooted
         at ``config.spill_dir``); ``shard_rows`` falls back to

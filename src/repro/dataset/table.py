@@ -110,9 +110,12 @@ class Table:
         lengths = {len(col) for col in normalized}
         if len(lengths) > 1:
             raise TableError(f"columns have inconsistent lengths: {sorted(lengths)}")
+        self._adopt(schema, normalized)
+
+    def _adopt(self, schema: Schema, columns: List[List[str]]) -> None:
         self._schema = schema
-        self._columns = normalized
-        self._n_rows = normalized[0].__len__() if normalized else 0
+        self._columns = columns
+        self._n_rows = len(columns[0]) if columns else 0
         # Mutation counter: bumped by every in-place mutation so per-table
         # derived artifacts (see repro.perf.table_cache) can detect
         # staleness.  The delta log records *what* changed between two
@@ -123,6 +126,17 @@ class Table:
         self._log_floor = 0
 
     # -- constructors --------------------------------------------------------
+
+    @classmethod
+    def _trusted(cls, schema: Schema, columns: List[List[str]]) -> "Table":
+        """Adopt ``columns`` as they are: no copy, no ``_stringify`` pass,
+        no length check.  For callers that hold equal-length lists of
+        ``str`` already (shard stores decoding their own dictionaries,
+        overlay seals patching stored strings); the lists become the
+        table's storage."""
+        table = cls.__new__(cls)
+        table._adopt(schema, columns)
+        return table
 
     @classmethod
     def from_rows(

@@ -136,7 +136,7 @@ class ShardedDetector:
 
         The per-pair path scans every shard once *per pair* — on an
         out-of-core store whose LRU holds fewer shards than the table,
-        that re-fetches and re-parses each shard for every pair.  This
+        that re-fetches and re-decodes each shard for every pair.  This
         warm-up inverts the loops: while shard N is resident (and the
         prefetching reader is already fetching shard N+1), the statistics
         of *every* pending pair are extracted from it, so each shard

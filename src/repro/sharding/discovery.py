@@ -29,7 +29,9 @@ from repro.discovery.discoverer import (
     _mine_candidate_values,
 )
 from repro.discovery.inverted_index import ColumnTokenization
-from repro.kernels.encoder import ColumnEncoding, encode_chunks
+# encode_chunks stays bound in this module though unused here: e2ebench's
+# tracer tests wrap it and call it through this binding
+from repro.kernels.encoder import ColumnEncoding, encode_chunks  # noqa: F401
 from repro.kernels.runtime import kernels_enabled
 from repro.kernels.tokenize import batch_tokenize, tokenization_from_encoding
 from repro.pfd.pfd import PFD
@@ -147,15 +149,7 @@ class ShardedDiscoverer:
         def encoding_for(name: str) -> ColumnEncoding:
             encoding = encodings.get(name)
             if encoding is None:
-                # stream shard by shard: the concatenated column is never
-                # materialized on the kernel path
-                encoding = encodings[name] = sharded.merged_artifact(
-                    ("column_encoding", name),
-                    lambda: encode_chunks(
-                        shard.column_ref(name)
-                        for _offset, shard in sharded.iter_shards()
-                    ),
-                )
+                encoding = encodings[name] = sharded.column_encoding(name)
             return encoding
 
         for candidate in candidates:

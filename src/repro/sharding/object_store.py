@@ -1,10 +1,11 @@
 """An object-store-style :class:`~repro.sharding.store.ShardStore` backend.
 
-Shards are serialized to CSV *objects* addressed by string keys through a
-minimal get/put/list/delete client API — the shape of S3-alike blob
-stores.  Two clients ship today: :class:`LocalObjectClient` keeps objects
-as files under a local root, and
-:class:`~repro.sharding.remote.HttpObjectClient` speaks the same
+Shards are stored as encoded *objects* (the byte format of
+:mod:`repro.sharding.codec`, the same bytes the spill store writes to
+files) addressed by string keys through a minimal get/put/list/delete
+client API — the shape of S3-alike blob stores.  Two clients ship
+today: :class:`LocalObjectClient` keeps objects as files under a local
+root, and :class:`~repro.sharding.remote.HttpObjectClient` speaks the same
 contract over HTTP (S3-compatible-style PUT/GET/DELETE plus Range
 reads).
 
@@ -26,25 +27,21 @@ medium needs that local spill files do not:
   releases the object root (and, for stores that own their remote
   namespace, the uploaded objects) even when called off an error path.
 
-Like :class:`~repro.sharding.store.SpillToDiskShardStore`, re-parsed
-cell strings are interned per store and a small LRU bounds how many
+Like :class:`~repro.sharding.store.SpillToDiskShardStore`, the store
+keeps the per-column dictionaries the codes index, so decoded cells are
+the dictionaries' own strings, and a small LRU bounds how many decoded
 shards stay resident.
 """
 
 from __future__ import annotations
 
-import csv
 import hashlib
-import io
 import shutil
 import tempfile
-from collections import OrderedDict
 from pathlib import Path
-from typing import List, Optional, Tuple, Union
+from typing import List, Optional, Union
 
-from repro.dataset.table import Table
 from repro.errors import TableError
-from repro.perf.interning import InternPool
 from repro.perf.timers import StageTimers
 from repro.sharding.prefetch import PrefetchingFetcher
 from repro.sharding.remote import (
@@ -55,7 +52,8 @@ from repro.sharding.remote import (
     RetryPolicy,
     validate_key,
 )
-from repro.sharding.store import ShardStore
+from repro.sharding.codec import SHARD_SUFFIX
+from repro.sharding.store import EncodedShardStore
 
 __all__ = [
     "LocalObjectClient",
@@ -142,8 +140,8 @@ class LocalObjectClient:
                 shutil.rmtree(tmpdir.name, ignore_errors=True)
 
 
-class ObjectShardStore(ShardStore):
-    """Shards as checksummed CSV objects behind an object client.
+class ObjectShardStore(EncodedShardStore):
+    """Shards as checksummed encoded objects behind an object client.
 
     Parameters
     ----------
@@ -161,7 +159,7 @@ class ObjectShardStore(ShardStore):
     prefix:
         Key prefix for this dataset's shard objects.
     cache_shards:
-        How many recently read shards stay parsed in memory.
+        How many recently read shards stay decoded in memory.
     max_read_attempts:
         Shorthand for ``retry_policy=RetryPolicy(max_attempts=...)``;
         ignored when an explicit ``retry_policy`` is given.
@@ -202,9 +200,7 @@ class ObjectShardStore(ShardStore):
         prefetch_depth: int = 0,
         timers: Optional[StageTimers] = None,
     ):
-        super().__init__()
-        if cache_shards < 1:
-            raise TableError(f"cache_shards must be >= 1, got {cache_shards}")
+        super().__init__(cache_shards)
         if max_read_attempts < 1:
             raise TableError(f"max_read_attempts must be >= 1, got {max_read_attempts}")
         if prefetch_depth < 0:
@@ -222,11 +218,8 @@ class ObjectShardStore(ShardStore):
             )
         self._delete_objects_on_close = delete_objects_on_close
         self.prefix = prefix.rstrip("/")
-        self._cache_shards = cache_shards
-        #: per-shard (key, row count, version-at-append, sha256 hexdigest)
-        self._meta: List[Tuple[str, int, int, str]] = []
-        self._loaded: "OrderedDict[int, Table]" = OrderedDict()
-        self._interned = InternPool()
+        #: per-shard sha256 hexdigest of the stored bytes
+        self._digests: List[str] = []
         #: read/write attempts beyond the first, for observability/tests
         self.retried_reads = 0
         self.retried_puts = 0
@@ -237,50 +230,16 @@ class ObjectShardStore(ShardStore):
             else None
         )
 
-    # -- serialization -----------------------------------------------------------
+    # -- the backing medium ----------------------------------------------------
 
     def _key(self, index: int) -> str:
-        return f"{self.prefix}/shard_{index:06d}.csv"
+        return f"{self.prefix}/shard_{index:06d}{SHARD_SUFFIX}"
 
-    @staticmethod
-    def _serialize(shard: Table) -> bytes:
-        buffer = io.StringIO(newline="")
-        writer = csv.writer(buffer)
-        for row in shard.iter_rows():
-            writer.writerow(row)
-        return buffer.getvalue().encode("utf-8")
+    def _label(self, index: int) -> str:
+        return f"object {self._key(index)}"
 
-    def _parse(self, index: int, key: str, data: bytes, n_rows: int) -> Table:
-        width = len(self.schema)
-        columns: List[List[str]] = [[] for _ in range(width)]
-        intern = self._interned.intern
-        reader = csv.reader(io.StringIO(data.decode("utf-8"), newline=""))
-        for row in reader:
-            if len(row) != width:
-                raise TableError(
-                    f"object {key} line {reader.line_num} has "
-                    f"{len(row)} fields, expected {width} (corrupted?)"
-                )
-            for column, value in zip(columns, row):
-                column.append(intern(value))
-        shard = Table(self.schema, columns)
-        if shard.n_rows != n_rows:
-            raise TableError(
-                f"shard object {index} read back {shard.n_rows} rows, "
-                f"expected {n_rows} (object corrupted?)"
-            )
-        return shard
-
-    # -- the storage contract ----------------------------------------------------
-
-    @property
-    def n_shards(self) -> int:
-        return len(self._meta)
-
-    def append(self, shard: Table) -> None:
-        self._check_schema(shard)
-        key = self._key(len(self._meta))
-        data = self._serialize(shard)
+    def _put(self, index: int, data: bytes) -> None:
+        key = self._key(index)
         digest = hashlib.sha256(data).hexdigest()
 
         def _count_put_retry(_exc: ObjectStoreError) -> None:
@@ -301,17 +260,14 @@ class ObjectShardStore(ShardStore):
             except ObjectStoreError:
                 pass
             raise
-        self._meta.append((key, shard.n_rows, shard.version, digest))
-
-    def shard_row_counts(self) -> List[int]:
-        return [n_rows for _key, n_rows, _version, _digest in self._meta]
+        self._digests.append(digest)
 
     def _fetch_verified(self, index: int) -> bytes:
         """Blocking fetch of one shard object: GET + SHA-256 verify
         under the shared retry policy.  Thread-safe (the prefetcher
         calls it from its fetch threads); retry backoff sleeps happen
         on the calling thread."""
-        key, _n_rows, _version, digest = self._meta[index]
+        key, digest = self._key(index), self._digests[index]
 
         def _download() -> bytes:
             data = self.client.get(key)
@@ -335,30 +291,15 @@ class ObjectShardStore(ShardStore):
         without a prefetcher)."""
         return self._prefetcher.prefetch_hits if self._prefetcher is not None else 0
 
-    def get(self, index: int) -> Table:
-        cached = self._loaded.get(index)
-        if cached is not None:
-            self._loaded.move_to_end(index)
-            return cached
-        key, n_rows, _version, _digest = self._meta[index]
+    def _fetch(self, index: int) -> bytes:
         if self._prefetcher is not None:
-            data = self._prefetcher.get(index, self.n_shards)
-        else:
-            with self.timers.stage("fetch_wait"):
-                data = self._fetch_verified(index)
-        shard = self._parse(index, key, data, n_rows)
-        self._loaded[index] = shard
-        while len(self._loaded) > self._cache_shards:
-            self._loaded.popitem(last=False)
-        return shard
-
-    def versions(self) -> Tuple[int, ...]:
-        # objects are frozen at append time, like spill files
-        return tuple(version for _key, _n_rows, version, _digest in self._meta)
+            return self._prefetcher.get(index, self.n_shards)
+        with self.timers.stage("fetch_wait"):
+            return self._fetch_verified(index)
 
     def close(self) -> None:
-        """Release everything the store holds: the shard LRU, the intern
-        pool, this dataset's objects (when the store owns its remote
+        """Release everything the store holds: the shard LRU, the
+        dictionaries, this dataset's objects (when the store owns its remote
         namespace) and the client itself (when owned).  Safe to call off
         an error path mid-upload — cleanup failures never mask the
         original error — and idempotent."""
@@ -366,11 +307,10 @@ class ObjectShardStore(ShardStore):
             # join the fetch threads before touching the client or the
             # objects they may still be reading
             self._prefetcher.close()
-        self._loaded.clear()
-        self._interned.clear()
+        super().close()
         try:
             if self._delete_objects_on_close:
-                for key, _n_rows, _version, _digest in self._meta:
+                for key in map(self._key, range(self.n_shards)):
                     try:
                         # deletes are idempotent, so transient faults are
                         # retried like any other operation — a flaky
@@ -381,7 +321,7 @@ class ObjectShardStore(ShardStore):
                         )
                     except ObjectStoreError:
                         pass  # best-effort: never raise out of close()
-                self._meta = []
+                self._row_counts, self._versions, self._digests = [], [], []
         finally:
             if self._owns_client:
                 self.client.close()

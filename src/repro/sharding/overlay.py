@@ -173,8 +173,7 @@ class ShardOverlay:
         edited = self._edits[shard_index].get((local_row, index))
         if edited is not None:
             return edited
-        shard = self._base.store.get(shard_index)
-        return shard.column_ref(self._schema[index].name)[local_row]
+        return self._base.store.cell(shard_index, local_row, index)
 
     def row(self, row: int) -> Row:
         self._check_row(row)
@@ -183,7 +182,7 @@ class ShardOverlay:
             return tuple(col[tail_row] for col in self._tail_columns)
         base_row = self._base_row(row)
         shard_index, local_row = self._base.locate(base_row)
-        values = self._base.store.get(shard_index).row(local_row)
+        values = self._base.row(base_row)
         edits = self._edits[shard_index]
         if not edits:
             return values
@@ -482,7 +481,7 @@ class OverlayShardStore(ShardStore):
         if self._has_tail and index == len(self._row_counts) - 1:
             tail = self._patched.get(index)
             if tail is None:
-                tail = Table(
+                tail = Table._trusted(
                     self._schema,
                     [list(column) for column in self._tail_columns],
                 )
@@ -511,7 +510,9 @@ class OverlayShardStore(ShardStore):
                     if local not in deleted
                 ]
             )
-        return Table(self._schema, columns)
+        # the cells are strings the base store and the edit snapshot
+        # already hold: adopt them without a re-stringify pass
+        return Table._trusted(self._schema, columns)
 
     def _compute_versions(self) -> Tuple[int, ...]:
         base_versions = self._base.versions()

@@ -10,10 +10,11 @@ by plain concatenation.
 
 Shard bytes live behind a pluggable
 :class:`~repro.sharding.store.ShardStore`: the default in-memory store
-keeps live ``Table`` objects, the spill-to-disk store re-parses shards
-from CSV on access with bounded resident memory, and the object store
-reads checksummed shard objects through an object client.  A plain
-shard list is wrapped into an in-memory store transparently.
+keeps live ``Table`` objects; the spill-to-disk and object stores keep
+each shard once as per-column dictionary codes (in spill files, or in
+checksummed objects behind an object client) and decode on access with
+bounded resident memory.  A plain shard list is wrapped into an
+in-memory store transparently.
 
 Shards are immutable by contract: the sharded engines cache merged
 statistics keyed by the shards' mutation versions, and the interactive
@@ -166,12 +167,16 @@ class ShardedTable:
     def row(self, global_row: int) -> Tuple[str, ...]:
         """One logical row as a tuple of values, in schema order."""
         shard_index, local_row = self.locate(global_row)
-        return self._store.get(shard_index).row(local_row)
+        return tuple(
+            self._store.cell(shard_index, local_row, column_index)
+            for column_index in range(self.n_columns)
+        )
 
     def cell(self, global_row: int, name: str) -> str:
-        """The value of one logical cell."""
+        """The value of one logical cell (an encoded store reads one code,
+        decoding no shard)."""
         shard_index, local_row = self.locate(global_row)
-        return self._store.get(shard_index).cell(local_row, name)
+        return self._store.cell(shard_index, local_row, self.schema.index_of(name))
 
     def iter_shards(self) -> Iterator[Tuple[int, Table]]:
         """Yield ``(global offset, shard)`` pairs in row order."""
@@ -190,6 +195,16 @@ class ShardedTable:
                 for _offset, shard in self.iter_shards()
                 for value in shard.column_ref(name)
             ],
+        )
+
+    def column_encoding(self, name: str):
+        """One logical column factorized
+        (:class:`~repro.kernels.encoder.ColumnEncoding`; needs numpy),
+        cached until a shard version changes.  Encoded stores answer it
+        from their dictionaries and codes; others stream ``encode_chunks``
+        shard by shard, never materializing the concatenated column."""
+        return self.merged_artifact(
+            ("column_encoding", name), lambda: self._store.column_encoding(name)
         )
 
     def to_table(self) -> Table:

@@ -3,29 +3,34 @@
 A :class:`ShardStore` owns the per-shard :class:`~repro.dataset.table.Table`
 objects of one sharded dataset.  The sharded engines never hold shard
 lists themselves anymore — they address shards through the store, so the
-*where* of shard bytes (process memory, local disk, and in the future a
-remote object store) is swappable without touching discovery/detection.
+*where* of shard bytes (process memory, local disk, a remote object
+store) is swappable without touching discovery/detection.
 
-Two implementations ship today:
+The implementations:
 
-* :class:`InMemoryShardStore` — the original behaviour: live ``Table``
-  objects in a list.  Mutation detection works through the shards' own
-  version counters.
-* :class:`SpillToDiskShardStore` — shards are written to CSV files in a
-  spill directory as they are appended and re-parsed on access, with a
-  small LRU of recently loaded shards; resident memory is bounded by
-  the LRU size no matter how many shards the dataset has.  Shards are
-  immutable by contract (see :class:`ShardedTable`), which is what makes
-  the spill round-trip safe.
+* :class:`InMemoryShardStore` — live ``Table`` objects in a list.
+  Mutation detection works through the shards' own version counters.
+* :class:`EncodedShardStore` — the shared base of the stores that keep
+  shard bytes outside process memory: each shard is stored once as
+  per-column dictionary codes (:mod:`repro.sharding.codec`), decoded on
+  access into a small LRU of recently used shards, so resident memory is
+  bounded by the LRU size no matter how many shards the dataset has.
+  Single cells and whole-column encodings are answered from the codes
+  without decoding a shard.
+* :class:`SpillToDiskShardStore` — encoded shards as files in a spill
+  directory.  The object store
+  (:class:`~repro.sharding.object_store.ObjectShardStore`) puts the same
+  bytes behind an object client.
 
-Every store validates on :meth:`~ShardStore.append` that all shards
-share one schema, so a half-built store can never be sealed into an
-inconsistent :class:`ShardedTable`.
+Shards are immutable by contract (see :class:`ShardedTable`), which is
+what makes the spill round-trip safe.  Every store validates on
+:meth:`~ShardStore.append` that all shards share one schema, so a
+half-built store can never be sealed into an inconsistent
+:class:`ShardedTable`.
 """
 
 from __future__ import annotations
 
-import csv
 import tempfile
 from abc import ABC, abstractmethod
 from collections import OrderedDict
@@ -35,7 +40,9 @@ from typing import List, Optional, Tuple, Union
 from repro.dataset.schema import Schema
 from repro.dataset.table import Table
 from repro.errors import TableError
-from repro.perf.interning import InternPool
+from repro.kernels.encoder import ColumnEncoding, encode_chunks
+from repro.kernels.runtime import HAVE_NUMPY, np
+from repro.sharding.codec import SHARD_SUFFIX, ShardCodec
 
 
 class ShardStore(ABC):
@@ -90,6 +97,19 @@ class ShardStore(ABC):
         """Per-shard mutation counters — the staleness key for merged
         artifacts built over this store."""
 
+    def column_encoding(self, name: str) -> ColumnEncoding:
+        """One logical column factorized across all shards (numpy only).
+
+        Equal to :func:`~repro.kernels.encoder.encode_chunks` over the
+        shards in order — which is what this default computes."""
+        return encode_chunks(
+            self.get(index).column_ref(name) for index in range(self.n_shards)
+        )
+
+    def cell(self, index: int, local_row: int, column_index: int) -> str:
+        """One cell of shard ``index`` (default: through :meth:`get`)."""
+        return self.get(index).cell(local_row, self.schema[column_index].name)
+
     def close(self) -> None:
         """Release backing resources (a no-op for in-memory stores)."""
 
@@ -126,8 +146,146 @@ class InMemoryShardStore(ShardStore):
         return tuple(shard.version for shard in self._shards)
 
 
-class SpillToDiskShardStore(ShardStore):
-    """Shards spilled to CSV files; resident memory bounded by a small LRU.
+class EncodedShardStore(ShardStore):
+    """Shards stored once as dictionary codes in some backing medium.
+
+    Subclasses supply the medium: :meth:`_put` writes one shard's bytes,
+    :meth:`_fetch` reads them back whole, :meth:`_label` names a shard's
+    file or object in errors, and :meth:`_read_codes` may be overridden
+    with a ranged read.  Everything else — the shared
+    :class:`~repro.sharding.codec.ShardCodec` dictionaries, the LRU of
+    decoded shards, single-cell and whole-column reads — lives here.
+
+    Parameters
+    ----------
+    cache_shards:
+        How many recently accessed shards stay decoded in memory.  ``1``
+        (the default in both stores) is enough for the sharded engines,
+        which walk the shards sequentially.
+    """
+
+    def __init__(self, cache_shards: int = 1):
+        super().__init__()
+        if cache_shards < 1:
+            raise TableError(f"cache_shards must be >= 1, got {cache_shards}")
+        self._cache_shards = cache_shards
+        self._codec: Optional[ShardCodec] = None
+        self._row_counts: List[int] = []
+        #: per-shard version-at-append (shards are frozen once stored)
+        self._versions: List[int] = []
+        self._loaded: "OrderedDict[int, Table]" = OrderedDict()
+
+    # -- the backing medium ----------------------------------------------------
+
+    @abstractmethod
+    def _put(self, index: int, data: bytes) -> None:
+        """Store shard ``index``'s bytes; raise (storing nothing the store
+        will read) on failure."""
+
+    @abstractmethod
+    def _fetch(self, index: int) -> bytes:
+        """Shard ``index``'s whole payload, as stored."""
+
+    @abstractmethod
+    def _label(self, index: int) -> str:
+        """How errors name shard ``index``'s file or object."""
+
+    def _read_codes(self, index: int, column_index: int, first_row: int, count: int) -> bytes:
+        """``count`` codes of one column of shard ``index``, from
+        ``first_row`` on, after the header and size checks (default: cut
+        from the whole payload)."""
+        return self._codec.slice_codes(
+            self._fetch(index),
+            self._row_counts[index],
+            column_index,
+            first_row,
+            count,
+            self._label(index),
+        )
+
+    # -- the storage contract ----------------------------------------------------
+
+    @property
+    def n_shards(self) -> int:
+        return len(self._row_counts)
+
+    def append(self, shard: Table) -> None:
+        self._check_schema(shard)
+        if self._codec is None:
+            self._codec = ShardCodec(len(self._schema))
+        mark = self._codec.mark()
+        try:
+            self._put(self.n_shards, self._codec.encode(shard))
+        except BaseException:
+            self._codec.rollback(mark)
+            raise
+        self._row_counts.append(shard.n_rows)
+        self._versions.append(shard.version)
+
+    def shard_row_counts(self) -> List[int]:
+        return list(self._row_counts)
+
+    def get(self, index: int) -> Table:
+        cached = self._loaded.get(index)
+        if cached is not None:
+            self._loaded.move_to_end(index)
+            return cached
+        n_rows = self._row_counts[index]
+        shard = self._codec.decode(
+            self._fetch(index), self.schema, n_rows, self._label(index)
+        )
+        self._loaded[index] = shard
+        while len(self._loaded) > self._cache_shards:
+            self._loaded.popitem(last=False)
+        return shard
+
+    def cell(self, index: int, local_row: int, column_index: int) -> str:
+        """One cell, read as one code — no shard is decoded and the LRU is
+        neither filled nor reordered."""
+        resident = self._loaded.get(index)
+        if resident is not None:
+            return resident.cell(local_row, self.schema[column_index].name)
+        n_rows = self._row_counts[index]
+        if not 0 <= local_row < n_rows:
+            raise TableError(f"row index {local_row} out of range [0, {n_rows})")
+        raw = self._read_codes(index, column_index, local_row, 1)
+        return self._codec.values(column_index, raw, self._label(index))[0]
+
+    def column_encoding(self, name: str) -> ColumnEncoding:
+        """The store's own dictionary plus the shards' concatenated code
+        blocks — exactly :func:`~repro.kernels.encoder.encode_chunks`
+        over the shards, since they were appended in row order."""
+        if not HAVE_NUMPY:
+            raise RuntimeError("column_encoding requires numpy; gate on kernels_enabled()")
+        column_index = self.schema.index_of(name)
+        blocks = [
+            self._codec.codes_array(
+                column_index,
+                self._read_codes(index, column_index, 0, n_rows),
+                self._label(index),
+            )
+            for index, n_rows in enumerate(self._row_counts)
+        ]
+        codes = np.concatenate(blocks) if blocks else np.empty(0, dtype=np.int32)
+        return ColumnEncoding(
+            list(self._codec.dictionary(column_index)),
+            codes.astype(np.int32, copy=False),
+        )
+
+    def versions(self) -> Tuple[int, ...]:
+        # stored shards are frozen at append time; the recorded counters
+        # are the stable staleness key
+        return tuple(self._versions)
+
+    def close(self) -> None:
+        self._loaded.clear()
+        if self._codec is not None:
+            self._codec.clear()
+
+
+class SpillToDiskShardStore(EncodedShardStore):
+    """Encoded shards as files in a spill directory; resident memory
+    bounded by a small LRU of decoded shards.
 
     Parameters
     ----------
@@ -136,86 +294,43 @@ class SpillToDiskShardStore(ShardStore):
         directory that is removed on :meth:`close` (or interpreter
         exit).
     cache_shards:
-        How many recently accessed shards stay parsed in memory.  ``1``
-        (the default) is enough for the sharded engines, which walk the
-        shards sequentially.
+        How many recently accessed shards stay decoded in memory.
     """
 
     def __init__(self, directory: Union[str, Path, None] = None, cache_shards: int = 1):
-        super().__init__()
-        if cache_shards < 1:
-            raise TableError(f"cache_shards must be >= 1, got {cache_shards}")
+        super().__init__(cache_shards)
         self._tmpdir: Optional[tempfile.TemporaryDirectory] = None
         if directory is None:
             self._tmpdir = tempfile.TemporaryDirectory(prefix="repro-shards-")
             directory = self._tmpdir.name
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
-        self._cache_shards = cache_shards
-        #: per-shard (path, row count, version-at-append)
-        self._meta: List[Tuple[Path, int, int]] = []
-        self._loaded: "OrderedDict[int, Table]" = OrderedDict()
-        #: re-parsed cell strings are interned per store, so the resident
-        #: string footprint across shard loads is the *distinct* value
-        #: set, not one fresh copy per load
-        self._interned = InternPool()
 
-    @property
-    def n_shards(self) -> int:
-        return len(self._meta)
+    def _path(self, index: int) -> Path:
+        return self.directory / f"shard_{index:06d}{SHARD_SUFFIX}"
 
-    def append(self, shard: Table) -> None:
-        self._check_schema(shard)
-        path = self.directory / f"shard_{len(self._meta):06d}.csv"
-        with path.open("w", newline="", encoding="utf-8") as handle:
-            writer = csv.writer(handle)
-            for row in shard.iter_rows():
-                writer.writerow(row)
-        self._meta.append((path, shard.n_rows, shard.version))
+    def _label(self, index: int) -> str:
+        return f"spill file {self._path(index).name}"
 
-    def shard_row_counts(self) -> List[int]:
-        return [n_rows for _path, n_rows, _version in self._meta]
+    def _put(self, index: int, data: bytes) -> None:
+        self._path(index).write_bytes(data)
 
-    def get(self, index: int) -> Table:
-        cached = self._loaded.get(index)
-        if cached is not None:
-            self._loaded.move_to_end(index)
-            return cached
-        path, n_rows, _version = self._meta[index]
-        width = len(self.schema)
-        columns: List[List[str]] = [[] for _ in range(width)]
-        intern = self._interned.intern
-        with path.open("r", newline="", encoding="utf-8") as handle:
-            reader = csv.reader(handle)
-            for row in reader:
-                if len(row) != width:
-                    # strict like the csvio readers: a ragged row is
-                    # corruption, never silently padded or truncated
-                    raise TableError(
-                        f"spill file {path.name} line {reader.line_num} has "
-                        f"{len(row)} fields, expected {width} (corrupted?)"
-                    )
-                for column, value in zip(columns, row):
-                    column.append(intern(value))
-        shard = Table(self.schema, columns)
-        if shard.n_rows != n_rows:
-            raise TableError(
-                f"spilled shard {index} read back {shard.n_rows} rows, "
-                f"expected {n_rows} (spill file corrupted?)"
+    def _fetch(self, index: int) -> bytes:
+        return self._path(index).read_bytes()
+
+    def _read_codes(self, index: int, column_index: int, first_row: int, count: int) -> bytes:
+        with self._path(index).open("rb") as handle:
+            return self._codec.read_codes(
+                handle,
+                self._row_counts[index],
+                column_index,
+                first_row,
+                count,
+                self._label(index),
             )
-        self._loaded[index] = shard
-        while len(self._loaded) > self._cache_shards:
-            self._loaded.popitem(last=False)
-        return shard
-
-    def versions(self) -> Tuple[int, ...]:
-        # spilled shards are frozen at append time; the recorded counters
-        # are the stable staleness key
-        return tuple(version for _path, _n_rows, version in self._meta)
 
     def close(self) -> None:
-        self._loaded.clear()
-        self._interned.clear()
+        super().close()
         if self._tmpdir is not None:
             self._tmpdir.cleanup()
             self._tmpdir = None

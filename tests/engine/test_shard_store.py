@@ -1,12 +1,18 @@
 """Unit tests for the pluggable shard stores."""
 
+import hashlib
+import struct
+
 import pytest
 
 from repro.dataset import Table
 from repro.errors import TableError
+from repro.kernels.runtime import HAVE_NUMPY
+from repro.sharding.codec import FORMAT_VERSION, HEADER_SIZE, MAGIC
 from repro.sharding import (
     InMemoryShardStore,
     LocalObjectClient,
+    ObjectChecksumError,
     ObjectShardStore,
     ObjectStoreError,
     STORE_KINDS,
@@ -22,6 +28,44 @@ def make_shard(values):
 
 SHARD_A = [["10", "x"], ["20", "y"]]
 SHARD_B = [["30", "z"]]
+
+#: every way an encoded shard can be damaged → the error it must raise
+#: (SHARD_A encodes to a 24-byte header plus 2 columns x 2 rows x 4 bytes)
+CORRUPTIONS = {
+    "truncated": (lambda data: data[:-1], "holds 39 bytes, expected 40"),
+    "oversized": (lambda data: data + b"\0\0\0\0", "holds 44 bytes, expected 40"),
+    "short_header": (lambda data: data[:10], "shorter than the 24-byte shard header"),
+    "bad_magic": (lambda data: b"XXXX" + data[4:], "bad magic"),
+    "bad_version": (
+        lambda data: struct.pack("<4sIQQ", MAGIC, FORMAT_VERSION + 1, 2, 2) + data[HEADER_SIZE:],
+        f"format version {FORMAT_VERSION + 1}, expected {FORMAT_VERSION}",
+    ),
+    "bad_width": (
+        lambda data: struct.pack("<4sIQQ", MAGIC, FORMAT_VERSION, 2, 3) + data[HEADER_SIZE:],
+        "width 3, expected 2",
+    ),
+    "code_too_high": (
+        lambda data: data[:HEADER_SIZE] + struct.pack("<i", 2) + data[HEADER_SIZE + 4 :],
+        "column 0 holds code 2 outside its 2-value dictionary",
+    ),
+    "code_negative": (
+        lambda data: data[:HEADER_SIZE] + struct.pack("<i", -1) + data[HEADER_SIZE + 4 :],
+        "column 0 holds code -1 outside its 2-value dictionary",
+    ),
+}
+
+
+def assert_every_read_rejects(store, where, match):
+    """get(), a single-cell read and the column encoding all refuse a
+    damaged shard, naming its file or object."""
+    with pytest.raises(TableError, match=match) as excinfo:
+        store.get(0)
+    assert where in str(excinfo.value)
+    with pytest.raises(TableError, match=match):
+        store.cell(0, 0, 0)
+    if HAVE_NUMPY:
+        with pytest.raises(TableError, match=match):
+            store.column_encoding("code")
 
 
 @pytest.fixture(params=["memory", "disk", "object"])
@@ -92,7 +136,7 @@ class TestSpillToDisk:
         directory = tmp_path / "spill"
         store = SpillToDiskShardStore(directory)
         store.append(make_shard(SHARD_A))
-        assert sorted(p.name for p in directory.iterdir()) == ["shard_000000.csv"]
+        assert sorted(p.name for p in directory.iterdir()) == ["shard_000000.codes"]
 
     def test_private_tempdir_removed_on_close(self):
         store = SpillToDiskShardStore()
@@ -108,26 +152,30 @@ class TestSpillToDisk:
         assert store.get(0).n_rows == 0
         assert store.shard_row_counts() == [0]
 
-    def test_corrupted_spill_file_rejected_with_line(self, tmp_path):
+    @pytest.mark.parametrize("kind", sorted(CORRUPTIONS))
+    def test_corrupted_spill_file_rejected(self, tmp_path, kind):
+        corrupt, match = CORRUPTIONS[kind]
         store = SpillToDiskShardStore(tmp_path / "spill", cache_shards=1)
         store.append(make_shard(SHARD_A))
-        path = tmp_path / "spill" / "shard_000000.csv"
-        path.write_text("10,x\n20,y,EXTRA\n")
-        with pytest.raises(TableError, match="line 2 has 3 fields"):
-            store.get(0)
+        path = tmp_path / "spill" / "shard_000000.codes"
+        path.write_bytes(corrupt(path.read_bytes()))
+        assert_every_read_rejects(store, "spill file shard_000000.codes", match)
 
     def test_bad_cache_size_rejected(self, tmp_path):
         with pytest.raises(TableError, match="cache_shards"):
             SpillToDiskShardStore(tmp_path, cache_shards=0)
 
     def test_corrupted_spill_row_count_mismatch(self, tmp_path):
-        # the other corruption branch: well-formed CSV, wrong row count
+        # a well-formed shard of the wrong length: its header and size
+        # agree with each other, not with the store's record
         store = SpillToDiskShardStore(tmp_path / "spill", cache_shards=1)
         store.append(make_shard(SHARD_A))
-        path = tmp_path / "spill" / "shard_000000.csv"
-        path.write_text("10,x\n")
-        with pytest.raises(TableError, match="read back 1 rows, expected 2"):
-            store.get(0)
+        store.append(make_shard(SHARD_B))
+        first = tmp_path / "spill" / "shard_000000.codes"
+        first.write_bytes((tmp_path / "spill" / "shard_000001.codes").read_bytes())
+        assert_every_read_rejects(
+            store, "spill file shard_000000.codes", "header records 1 rows, expected 2"
+        )
 
     def test_lru_accounting_under_cross_shard_access(self, tmp_path):
         # repeated alternating access across more shards than LRU slots:
@@ -192,8 +240,8 @@ class TestObjectStore:
         store.append(make_shard(SHARD_A))
         store.append(make_shard(SHARD_B))
         assert store.client.list("ds1/") == [
-            "ds1/shard_000000.csv",
-            "ds1/shard_000001.csv",
+            "ds1/shard_000000.codes",
+            "ds1/shard_000001.codes",
         ]
 
     def test_transient_read_failure_is_retried(self, tmp_path):
@@ -232,45 +280,57 @@ class TestObjectStore:
     def test_checksum_mismatch_rejected(self, tmp_path):
         store = ObjectShardStore(root=tmp_path / "objects")
         store.append(make_shard(SHARD_A))
-        # flip bytes behind the store's back: same shape, wrong content
-        store.client.put("shards/shard_000000.csv", b"99,x\r\n20,y\r\n")
+        # swap two codes behind the store's back: same shape, still a
+        # well-formed shard, wrong content
+        key = "shards/shard_000000.codes"
+        data = store.client.get(key)
+        tampered = data[:HEADER_SIZE] + data[HEADER_SIZE + 4 : HEADER_SIZE + 8]
+        tampered += data[HEADER_SIZE : HEADER_SIZE + 4] + data[HEADER_SIZE + 8 :]
+        assert tampered != data and len(tampered) == len(data)
+        store.client.put(key, tampered)
         with pytest.raises(TableError, match="failed its checksum") as excinfo:
             store.get(0)
+        assert isinstance(excinfo.value.__cause__, ObjectChecksumError)
+        with pytest.raises(TableError, match="failed its checksum") as cell_error:
+            store.cell(0, 0, 0)
+        assert isinstance(cell_error.value.__cause__, ObjectChecksumError)
         # regression: the error must carry enough context to diagnose —
         # which object, how hard we tried, and both digests
         message = str(excinfo.value)
-        assert "shards/shard_000000.csv" in message
+        assert key in message
         assert "attempts" in message
         assert "expected sha256" in message and "got" in message
 
     def test_deleted_object_surfaces_client_error(self, tmp_path):
         store = ObjectShardStore(root=tmp_path / "objects")
         store.append(make_shard(SHARD_A))
-        store.client.delete("shards/shard_000000.csv")
+        store.client.delete("shards/shard_000000.codes")
         with pytest.raises(TableError, match="could not be read"):
             store.get(0)
 
-    def test_corrupted_object_ragged_line(self, tmp_path):
+    @pytest.mark.parametrize("kind", sorted(CORRUPTIONS))
+    def test_corrupted_object_rejected(self, tmp_path, kind):
+        # damaged bytes that pass the checksum (written with a matching
+        # digest) still fail the shard format checks
+        corrupt, match = CORRUPTIONS[kind]
         store = ObjectShardStore(root=tmp_path / "objects")
         store.append(make_shard(SHARD_A))
-        data = b"10,x\r\n20,y,EXTRA\r\n"
-        store.client.put("shards/shard_000000.csv", data)
-        store._meta[0] = store._meta[0][:3] + (
-            __import__("hashlib").sha256(data).hexdigest(),
-        )
-        with pytest.raises(TableError, match="line 2 has 3 fields"):
-            store.get(0)
+        key = "shards/shard_000000.codes"
+        data = corrupt(store.client.get(key))
+        store.client.put(key, data)
+        store._digests[0] = hashlib.sha256(data).hexdigest()
+        assert_every_read_rejects(store, f"object {key}", match)
 
     def test_corrupted_object_row_count_mismatch(self, tmp_path):
         store = ObjectShardStore(root=tmp_path / "objects")
         store.append(make_shard(SHARD_A))
-        data = b"10,x\r\n"
-        store.client.put("shards/shard_000000.csv", data)
-        store._meta[0] = store._meta[0][:3] + (
-            __import__("hashlib").sha256(data).hexdigest(),
+        store.append(make_shard(SHARD_B))
+        data = store.client.get("shards/shard_000001.codes")
+        store.client.put("shards/shard_000000.codes", data)
+        store._digests[0] = hashlib.sha256(data).hexdigest()
+        assert_every_read_rejects(
+            store, "object shards/shard_000000.codes", "header records 1 rows, expected 2"
         )
-        with pytest.raises(TableError, match="read back 1 rows, expected 2"):
-            store.get(0)
 
     def test_lru_keeps_memory_bounded(self, tmp_path):
         store = ObjectShardStore(root=tmp_path / "objects", cache_shards=1)
@@ -302,7 +362,7 @@ class TestObjectStore:
         store.append(make_shard(SHARD_A))
         store.close()
         # the caller owns the client; its objects are untouched
-        assert client.list() == ["shards/shard_000000.csv"]
+        assert client.list() == ["shards/shard_000000.codes"]
 
     def test_bad_parameters_rejected(self, tmp_path):
         with pytest.raises(TableError, match="cache_shards"):
